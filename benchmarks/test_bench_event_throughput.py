@@ -7,9 +7,10 @@ things:
 * an absolute events/sec floor, generous enough for slow shared CI
   runners but far above what any accidental reintroduction of
   per-event allocation churn would produce;
-* a >= 3x events/sec speedup over the closure-per-event oracle on the
-  same trace -- the PR's headline number, kept honest by the parity
-  suite's guarantee that both paths process identical event counts.
+* a >= 3x events/sec speedup over the closure-per-event reference
+  engine (:class:`~repro.sim.oracle.OracleServingEngine`) on the same
+  trace, kept honest by the parity suite's guarantee that both engines
+  process identical event counts.
 
 Both sides take the best of several rounds so one noisy-neighbor round
 cannot fail the gate; a real regression slows every round.
@@ -21,6 +22,7 @@ from repro.sim.bench import (
     format_result,
     replay_trace,
 )
+from repro.sim.oracle import OracleServingEngine
 
 #: Absolute floor, roughly half the slowest replay observed on a
 #: loaded development box (and ~20% of a quiet one) -- headroom for
@@ -46,12 +48,13 @@ def test_bench_canonical_replay_floor_and_speedup(benchmark):
     benchmark.pedantic(run, iterations=1, rounds=3)
     fast = max(fast_runs, key=lambda r: r.events_per_sec)
 
-    oracle_runs = [replay_trace(perf_model, schedule, trace, fast=False)
+    oracle_runs = [replay_trace(perf_model, schedule, trace,
+                                engine_cls=OracleServingEngine)
                    for _ in range(2)]
     oracle = max(oracle_runs, key=lambda r: r.events_per_sec)
 
     print()
-    print(format_result(fast, "fast path (best of 3)"))
+    print(format_result(fast, "engine (best of 3)"))
     print(format_result(oracle, "oracle (best of 2)"))
     speedup = fast.events_per_sec / oracle.events_per_sec
     print(f"  speedup       : {speedup:.2f}x events/sec")
@@ -63,5 +66,5 @@ def test_bench_canonical_replay_floor_and_speedup(benchmark):
         f"{fast.events_per_sec:,.0f} < {EVENTS_PER_SEC_FLOOR:,.0f} "
         f"events/sec")
     assert speedup >= SPEEDUP_FLOOR, (
-        f"fast path only {speedup:.2f}x the oracle "
+        f"engine only {speedup:.2f}x the oracle "
         f"(floor {SPEEDUP_FLOOR}x)")

@@ -448,13 +448,12 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--top", type=int, default=15,
                        help="profile table rows (default 15)")
     bench.add_argument("--oracle", action="store_true",
-                       help="also replay through the slow-path oracle "
-                            "and report the speedup")
+                       help="also replay through the reference "
+                            "closure-per-event engine and report the "
+                            "speedup")
     bench.add_argument("--no-profile", action="store_true",
                        help="skip cProfile; print only the timed "
                             "replay numbers")
-    bench.add_argument("--fast-forward", action="store_true",
-                       help="enable the fluid idle-gap skip")
 
     prov = commands.add_parser(
         "provision", help="size a fleet for a target load")
@@ -1489,18 +1488,19 @@ def _command_bench(args: argparse.Namespace) -> int:
     trace = canonical_trace() if args.requests is None \
         else canonical_trace(args.requests)
     print(f"canonical replay: {trace.num_requests} requests")
-    result = replay_trace(perf_model, schedule, trace,
-                          fast_forward=args.fast_forward)
-    print(format_result(result, "fast path"))
+    result = replay_trace(perf_model, schedule, trace)
+    print(format_result(result, "engine"))
     if args.oracle:
-        oracle = replay_trace(perf_model, schedule, trace, fast=False)
-        print(format_result(oracle, "oracle (slow path)"))
+        from repro.sim.oracle import OracleServingEngine
+
+        oracle = replay_trace(perf_model, schedule, trace,
+                              engine_cls=OracleServingEngine)
+        print(format_result(oracle, "oracle (reference engine)"))
         speedup = result.events_per_sec / oracle.events_per_sec
         print(f"  speedup       : {speedup:.2f}x events/sec")
     if not args.no_profile:
         _, table = profile_replay(perf_model, schedule, trace,
-                                  top=args.top,
-                                  fast_forward=args.fast_forward)
+                                  top=args.top)
         print(table)
     return 0
 

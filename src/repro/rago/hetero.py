@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ConfigError, ScheduleError
+from repro.errors import CapacityError, ConfigError, ScheduleError
 from repro.hardware.accelerator import XPU_A, XPU_B, XPU_C, XPUSpec
 from repro.hardware.cluster import ClusterSpec
 from repro.pipeline.stage_perf import RAGPerfModel
@@ -144,7 +144,7 @@ def split_generation_search(schema: RAGSchema, cluster: ClusterSpec,
                                 for group in pre_groups]
                     minimums.append(
                         decode_model.min_resource(Stage.DECODE))
-                except Exception:  # infeasible model/chip combination
+                except CapacityError:  # model does not fit this chip
                     continue
                 try:
                     allocations = list(enumerate_allocations(minimums,

@@ -1,18 +1,18 @@
 """Canonical DES hot-path benchmark harness.
 
 One fixed workload -- a Case I hyperscale network replaying a seeded
-200 QPS poisson trace -- shared by everything that measures the
-engine's throughput: the ``repro bench`` subcommand,
-``scripts/profile_hotpath.py``, and the CI events/sec floor in
-``benchmarks/test_bench_event_throughput.py``. Keeping the scenario in
-one place means every number quoted anywhere (README, CI artifacts,
-benchmark JSON) is the same replay.
+800 QPS poisson trace -- shared by everything that measures the
+engine's throughput: the ``repro bench`` subcommand and the CI
+events/sec floor in ``benchmarks/test_bench_event_throughput.py``.
+Keeping the scenario in one place means every number quoted anywhere
+(README, CI artifacts, benchmark JSON) is the same replay.
 
-Events/sec is the honest figure of merit here: the fast engine
-processes the *same* event count as the oracle on this workload (one
+Events/sec is the honest figure of merit here: the shipped engine
+processes the *same* event count as the reference
+:class:`~repro.sim.oracle.OracleServingEngine` on this workload (one
 arrival per request, one advance per decode step, one free + one
-complete per batch dispatch), so a fast/oracle events-per-second ratio
-is a pure wall-clock speedup, not an event-count artifact.
+complete per batch dispatch), so an engine/oracle events-per-second
+ratio is a pure wall-clock speedup, not an event-count artifact.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import io
 import pstats
 import time
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Type
 
 from repro.hardware import ClusterSpec
 from repro.pipeline import PlacementGroup, RAGPerfModel, Schedule
@@ -95,11 +95,16 @@ def canonical_trace(requests: int = CANONICAL_REQUESTS,
 
 
 def replay_trace(perf_model: RAGPerfModel, schedule: Schedule,
-                 trace: RequestTrace, fast: bool = True,
-                 fast_forward: bool = False) -> BenchResult:
-    """Submit the whole trace, drain, and time the replay."""
-    engine = ServingEngine(perf_model, schedule, fast=fast,
-                           fast_forward=fast_forward)
+                 trace: RequestTrace,
+                 engine_cls: Type[ServingEngine] = ServingEngine,
+                 ) -> BenchResult:
+    """Submit the whole trace, drain, and time the replay.
+
+    ``engine_cls`` selects the engine under test: the shipped
+    :class:`ServingEngine`, or a subclass such as the reference
+    :class:`~repro.sim.oracle.OracleServingEngine`.
+    """
+    engine = engine_cls(perf_model, schedule)
     submit = engine.submit
     start = time.perf_counter()  # simlint: allow[no-wallclock-in-sim]
     for arrival, length in zip(trace.arrivals, trace.decode_lens):
@@ -120,7 +125,6 @@ def replay_trace(perf_model: RAGPerfModel, schedule: Schedule,
 
 def profile_replay(perf_model: RAGPerfModel, schedule: Schedule,
                    trace: RequestTrace, top: int = 15,
-                   fast: bool = True, fast_forward: bool = False,
                    ) -> Tuple[BenchResult, str]:
     """cProfile one replay; returns (result, top-N table text).
 
@@ -130,8 +134,7 @@ def profile_replay(perf_model: RAGPerfModel, schedule: Schedule,
     """
     profiler = cProfile.Profile()
     profiler.enable()
-    result = replay_trace(perf_model, schedule, trace, fast=fast,
-                          fast_forward=fast_forward)
+    result = replay_trace(perf_model, schedule, trace)
     profiler.disable()
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream)

@@ -107,8 +107,7 @@ class FleetEngine:
                  max_wait: Optional[float] = None, seed: int = 0,
                  dispatch: DispatchSelection = None,
                  admission: Union[None, str, AdmissionPolicy] = None,
-                 on_complete: Optional[CompletionFn] = None,
-                 fast: bool = True, fast_forward: bool = False) -> None:
+                 on_complete: Optional[CompletionFn] = None) -> None:
         if isinstance(schedule, Schedule):
             count = 1 if replicas is None else replicas
             if count < 1:
@@ -126,8 +125,7 @@ class FleetEngine:
         self._schema = perf_model.schema
         self._routing = resolve_routing_policy(routing)
         self._engine_knobs = dict(max_wait=max_wait, seed=seed,
-                                  dispatch=dispatch, admission=admission,
-                                  fast=fast, fast_forward=fast_forward)
+                                  dispatch=dispatch, admission=admission)
         self._listeners: List[CompletionFn] = \
             [on_complete] if on_complete is not None else []
         self._accumulator = MetricsAccumulator(self._schema)

@@ -194,7 +194,7 @@ class AdmissionPolicy:
     boundary."""
 
     #: Policies that rank waiting sequences set this True so the
-    #: decode executors consult :meth:`priority` on every enqueue;
+    #: decode executor consults :meth:`priority` on every enqueue;
     #: the stock FIFO policies skip that work entirely.
     reorders_waiting: ClassVar[bool] = False
 

@@ -72,18 +72,12 @@ class ServingSimulator:
             (deadline flush when omitted).
         admission: Decode admission policy instance or registry name
             (greedy when omitted).
-        fast: Use the engine's slab-backed hot path (the default);
-            ``False`` replays through the closure-per-event oracle.
-        fast_forward: Fluid-skip idle decode boundaries on sparse
-            workloads (requires ``fast``; see
-            :class:`~repro.sim.engine.ServingEngine`).
     """
 
     def __init__(self, perf_model: RAGPerfModel, schedule: Schedule,
                  max_wait: Optional[float] = None, seed: int = 0,
                  dispatch: DispatchSelection = None,
-                 admission: Union[None, str, AdmissionPolicy] = None,
-                 fast: bool = True, fast_forward: bool = False) -> None:
+                 admission: Union[None, str, AdmissionPolicy] = None) -> None:
         self._perf_model = perf_model
         self._schedule = schedule
         self._schema = perf_model.schema
@@ -91,8 +85,6 @@ class ServingSimulator:
         self._seed = seed
         self._dispatch = dispatch
         self._admission = admission
-        self._fast = fast
-        self._fast_forward = fast_forward
         # Engines are single-use; build one eagerly so schedule/schema
         # validation still fails at construction time, as it always has.
         self._engine: Optional[ServingEngine] = self._fresh_engine()
@@ -101,9 +93,7 @@ class ServingSimulator:
         return ServingEngine(self._perf_model, self._schedule,
                              max_wait=self._max_wait, seed=self._seed,
                              dispatch=self._dispatch,
-                             admission=self._admission,
-                             fast=self._fast,
-                             fast_forward=self._fast_forward)
+                             admission=self._admission)
 
     def _take_engine(self) -> ServingEngine:
         """The pre-built engine, or a fresh one on repeated runs."""

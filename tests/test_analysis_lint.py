@@ -681,9 +681,9 @@ def test_shipped_tree_lints_clean():
 def test_shipped_tree_suppressions_are_audited():
     """The tree's inline allowances stay limited to the known audited
     sites: the serve wall->sim mapping, the two insertion-order
-    reporting tables, the bench harness's wall-clock timers, and the
-    engine's build-time decode rebinds (the executor's bound methods
-    escape into the handler table only after the final rebind).
+    reporting tables, and the bench harness's wall-clock timers. (The
+    engine binds its decode executor once and the executor registers
+    its own handlers, so no listener-rebind allowance is needed.)
 
     No module is excluded: suppressions are parsed from COMMENT
     tokens, so the analysis package and CLI docstrings/help text that
@@ -704,8 +704,6 @@ def test_shipped_tree_suppressions_are_audited():
             [["unsorted-dict-iteration-in-reporting"]],
         "repro.sim.bench": [["no-wallclock-in-sim"],
                             ["no-wallclock-in-sim"]],
-        "repro.sim.engine": [["listener-rebind"],
-                             ["listener-rebind"]],
     }
 
 

@@ -1,17 +1,20 @@
-"""Fast-path / oracle parity for the slab-backed DES hot loop.
+"""Engine / oracle parity for the slab-backed DES hot loop.
 
-The optimized engine (``fast=True``, the default) must be
-**bit-identical** to the pre-change closure-per-event implementation,
-which is kept wired as the ``fast=False`` oracle: same
+The shipped :class:`ServingEngine` must be **bit-identical** to the
+closure-per-event reference, :class:`OracleServingEngine`: same
 :class:`ServingReport`, same per-record lifecycles, same event count,
 on every registered arrival scenario and every admission-policy shape.
-``fast_forward`` has a weaker contract -- report equality on sparse
-traces -- pinned here too, along with the two lifecycle fixes that
-rode along (``peek_time`` on empty, ``submit`` after ``drain``).
+Two lifecycle fixes are pinned here too (``peek_time`` on empty,
+``submit`` after ``drain``), along with the guarantee that production
+imports only one engine wiring.
 """
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +25,7 @@ from repro.schema import Stage, case_i_hyperscale, case_iii_iterative
 from repro.sim.engine import EventQueue, ServingEngine
 from repro.sim.fleet import FleetEngine
 from repro.sim.metrics import MetricsAccumulator, SLOTarget
+from repro.sim.oracle import OracleServingEngine
 from repro.sim.policies import AdmissionPolicy, TokenBudgetAdmission
 from repro.workloads import SCENARIOS, poisson_trace, scenario_trace
 
@@ -60,8 +64,8 @@ def _record_key(record):
             dict(record.stage_enqueues), dict(record.queue_waits))
 
 
-def _replay(pm, schedule, trace, **knobs):
-    engine = ServingEngine(pm, schedule, **knobs)
+def _replay(engine_cls, pm, schedule, trace, **knobs):
+    engine = engine_cls(pm, schedule, **knobs)
     for arrival, length in zip(trace.arrivals, trace.decode_lens):
         engine.submit(arrival, decode_len=length)
     engine.drain()
@@ -69,8 +73,8 @@ def _replay(pm, schedule, trace, **knobs):
 
 
 def _assert_bit_identical(pm, schedule, trace, **knobs):
-    fast = _replay(pm, schedule, trace, fast=True, **knobs)
-    oracle = _replay(pm, schedule, trace, fast=False, **knobs)
+    fast = _replay(ServingEngine, pm, schedule, trace, **knobs)
+    oracle = _replay(OracleServingEngine, pm, schedule, trace, **knobs)
     slo = SLOTarget(ttft=0.5, tpot=0.05)
     # ServingReport equality is exact field equality (records are
     # excluded from dataclass comparison, checked separately below).
@@ -86,6 +90,20 @@ def _assert_bit_identical(pm, schedule, trace, **knobs):
 # ---------------------------------------------------------------------------
 # tentpole: bit-identical replays
 # ---------------------------------------------------------------------------
+
+
+def test_oracle_runs_the_reference_network(iterative_network):
+    """Parity is only meaningful if the oracle really is the
+    closure-per-event network, stations and decode alike."""
+    from repro.sim import oracle
+
+    pm, schedule = iterative_network
+    engine = OracleServingEngine(pm, schedule)
+    assert type(engine._decode) is oracle._OracleDecodeExecutor
+    assert engine._stations
+    for station in engine._stations.values():
+        assert type(station) is oracle._OracleBatchStation
+
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -128,9 +146,8 @@ def test_fast_path_bit_identical_under_custom_admission(network):
 def test_token_budget_head_overflow_raises_identically(network):
     pm, schedule = network
     admission = TokenBudgetAdmission(max_tokens=32)
-    for fast in (True, False):
-        engine = ServingEngine(pm, schedule, admission=admission,
-                               fast=fast)
+    for engine_cls in (ServingEngine, OracleServingEngine):
+        engine = engine_cls(pm, schedule, admission=admission)
         engine.submit(0.0, decode_len=64)  # head exceeds the budget
         with pytest.raises(ConfigError, match="admission token budget"):
             engine.drain()
@@ -184,30 +201,6 @@ def test_fleet_round_robin_report_equals_manual_partition_merge(
 
 
 # ---------------------------------------------------------------------------
-# satellite: fast_forward report equality on sparse traces
-# ---------------------------------------------------------------------------
-
-
-def test_fast_forward_matches_normal_reports_on_sparse_trace(network):
-    pm, schedule = network
-    trace = poisson_trace(2.0, 60.0, seed=3, mean_decode_len=96)
-    normal = _replay(pm, schedule, trace, fast=True)
-    skipped = _replay(pm, schedule, trace, fast=True, fast_forward=True)
-    slo = SLOTarget(ttft=0.5, tpot=0.05)
-    assert skipped.report(trace, slo=slo) == normal.report(trace, slo=slo)
-    assert [_record_key(r) for r in skipped.records] == \
-        [_record_key(r) for r in normal.records]
-    # The whole point of the skip: idle boundaries are not visited.
-    assert skipped.events_processed < normal.events_processed
-
-
-def test_fast_forward_requires_the_fast_path(network):
-    pm, schedule = network
-    with pytest.raises(ConfigError, match="fast_forward"):
-        ServingEngine(pm, schedule, fast=False, fast_forward=True)
-
-
-# ---------------------------------------------------------------------------
 # satellite: lifecycle fixes
 # ---------------------------------------------------------------------------
 
@@ -224,8 +217,8 @@ def test_peek_time_on_empty_queue_raises_config_error():
 
 def test_submit_after_drain_raises_config_error(network):
     pm, schedule = network
-    for fast in (True, False):
-        engine = ServingEngine(pm, schedule, fast=fast)
+    for engine_cls in (ServingEngine, OracleServingEngine):
+        engine = engine_cls(pm, schedule)
         engine.submit(0.0, decode_len=8)
         engine.drain()
         with pytest.raises(ConfigError, match="single-use"):
@@ -252,7 +245,7 @@ def test_drained_fleet_keeps_accepting_between_drains(network):
 
 @pytest.mark.parametrize("admission", [None, "priority"])
 def test_closed_loop_fast_path_bit_identical(network, admission):
-    """The closed loop replays identically on the fast path and the
+    """The closed loop replays identically on the engine and the
     oracle: the driver's think-time draws depend only on completion
     times, so bit-identical engines must produce bit-identical
     submission streams, reports, and recorded traces -- with and
@@ -266,17 +259,17 @@ def test_closed_loop_fast_path_bit_identical(network, admission):
                                 concurrency=2, session_len=3, seed=13,
                                 tiers=resolve_tier_policy("free-paid"))
 
-    def closed_loop(fast):
+    def closed_loop(engine_cls):
         knobs = {}
         if admission == "priority":
             knobs["admission"] = PriorityAdmission()
-        engine = ServingEngine(pm, schedule, fast=fast, **knobs)
+        engine = engine_cls(pm, schedule, **knobs)
         driver = ClosedLoopDriver(population, engine, horizon=4.0)
         driver.run()
         return engine, driver
 
-    fast_engine, fast_driver = closed_loop(True)
-    oracle_engine, oracle_driver = closed_loop(False)
+    fast_engine, fast_driver = closed_loop(ServingEngine)
+    oracle_engine, oracle_driver = closed_loop(OracleServingEngine)
     slo = SLOTarget(ttft=0.5, tpot=0.05)
     fast_trace = fast_engine.recorded_trace(scenario="sessions")
     oracle_trace = oracle_engine.recorded_trace(scenario="sessions")
@@ -287,3 +280,35 @@ def test_closed_loop_fast_path_bit_identical(network, admission):
         [_record_key(r) for r in oracle_engine.records]
     assert fast_driver.tier_counts() == oracle_driver.tier_counts()
     assert fast_driver.submitted == fast_driver.completed > 0
+
+
+# ---------------------------------------------------------------------------
+# satellite: one production path
+# ---------------------------------------------------------------------------
+
+
+def test_production_imports_one_engine_wiring():
+    """The reference engine is test support: importing the production
+    surface (library, live server, sessions, what-if) must not load
+    it, and the shipped engines take no path-selecting options."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = "\n".join([
+        "import sys",
+        "import repro, repro.sim, repro.serve",
+        "import repro.rago.session, repro.rago.whatif",
+        "assert 'repro.sim.oracle' not in sys.modules, 'oracle loaded'",
+        "print('ok')",
+    ])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ok"
+
+
+@pytest.mark.parametrize("engine_cls", [ServingEngine, FleetEngine])
+def test_engines_reject_path_selecting_keywords(network, engine_cls):
+    pm, schedule = network
+    with pytest.raises(TypeError):
+        engine_cls(pm, schedule, fast=False)
