@@ -10,6 +10,7 @@ shrink it (86.3% at 128/128 down to 30.9% at 2048/512).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Optional
 
 from repro.experiments.base import ExperimentOutput, default_cluster
@@ -39,9 +40,7 @@ def run(fast: bool = True,
     xpu_rows = []
     xpu_data: Dict[str, Dict[str, float]] = {}
     for xpu in XPU_GENERATIONS:
-        gen_cluster = ClusterSpec(num_servers=base_cluster.num_servers,
-                                  xpus_per_server=base_cluster.xpus_per_server,
-                                  xpu=xpu, cpu=base_cluster.cpu)
+        gen_cluster = replace(base_cluster, xpu=xpu)
         row = [xpu.name]
         xpu_data[xpu.name] = {}
         for label in models:

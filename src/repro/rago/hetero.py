@@ -12,25 +12,27 @@ The motivating insight is the paper's own Fig. 7a: faster accelerators
 mostly shift the bottleneck, so spending premium chips where the
 workload is compute-bound and cheaper high-bandwidth-per-dollar chips on
 decode can beat a homogeneous fleet.
+
+The search is Algorithm 1's own plan loop (:func:`repro.rago.search._plans`)
+with a per-group cost model, so it shares every rule of the homogeneous
+search -- including §6.1's harmonic retrieval stall for collocated
+groups that straddle retrieval -- and follows the plan-space fields of
+:class:`~repro.rago.search.SearchConfig` (``budget_xpus``,
+``placements``, ``allocations``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import product
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import CapacityError, ConfigError, ScheduleError
+from repro.errors import ConfigError, ScheduleError
 from repro.hardware.accelerator import XPU_A, XPU_B, XPU_C, XPUSpec
 from repro.hardware.cluster import ClusterSpec
 from repro.pipeline.stage_perf import RAGPerfModel
-from repro.rago.search import (
-    SearchConfig,
-    _Profiler,
-    _prune,
-    _serial_merge,
-)
-from repro.rago.allocation import enumerate_allocations
-from repro.rago.placement import enumerate_placements
+from repro.rago.pareto import pareto_front
+from repro.rago.search import SearchConfig, _plans, _Profiler
 from repro.schema.ragschema import RAGSchema
 from repro.schema.stages import Stage
 
@@ -57,7 +59,7 @@ class HeteroPoint:
         dollars_per_hour: Fleet price.
         qps_per_dollar: Throughput per hourly dollar.
         prefill_chips / decode_chips: Chips per tier.
-        servers: Retrieval hosts.
+        servers: Hosts priced (retrieval servers or the chips' hosts).
     """
 
     prefill_xpu: str
@@ -91,26 +93,22 @@ class HeteroResult:
         return self.best.qps_per_dollar / self.best_homogeneous.qps_per_dollar
 
 
-def _cluster_with(base: ClusterSpec, xpu: XPUSpec) -> ClusterSpec:
-    return ClusterSpec(num_servers=base.num_servers,
-                       xpus_per_server=base.xpus_per_server, xpu=xpu,
-                       cpu=base.cpu, pcie_bandwidth=base.pcie_bandwidth)
-
-
 def split_generation_search(schema: RAGSchema, cluster: ClusterSpec,
                             prices: Optional[Dict[str, float]] = None,
                             server_price: float = DEFAULT_SERVER_PRICE,
                             config: Optional[SearchConfig] = None) -> HeteroResult:
     """Search split-generation plans for a schema.
 
-    For every (prefill generation, decode generation) pair, composes the
-    pre-prefix stage options on the prefill generation with decode
-    options on the decode generation, prices the result, and returns the
-    (TTFT, QPS/$) frontier.
+    For every (prefill generation, decode generation) pair, runs
+    Algorithm 1's plan loop with the decode group costed on the decode
+    generation and every other group (and retrieval) on the prefill
+    generation, prices each plan, and returns the (TTFT, QPS/$)
+    frontier.
 
     Raises:
         ScheduleError: when no feasible plan exists.
-        ConfigError: on unpriced generations.
+        ConfigError: on unpriced generations or a budget outside the
+            cluster.
     """
     prices = dict(DEFAULT_XPU_PRICES if prices is None else prices)
     config = config or SearchConfig(max_batch=64, max_decode_batch=512)
@@ -120,102 +118,40 @@ def split_generation_search(schema: RAGSchema, cluster: ClusterSpec,
     if server_price <= 0:
         raise ConfigError("server_price must be positive")
 
-    perf_models = {xpu.name: RAGPerfModel(schema, _cluster_with(cluster, xpu))
-                   for xpu in GENERATIONS}
-    profilers = {name: _Profiler(model, config)
-                 for name, model in perf_models.items()}
-    budget = cluster.total_xpus
-    placements = enumerate_placements(schema)
-    retrieval_floor = (perf_models[XPU_C.name].retrieval.min_servers()
-                       if schema.has_retrieval else 0)
-
-    points: List[Tuple[float, float, HeteroPoint]] = []
-    for prefill_xpu in GENERATIONS:
-        prefill_profiler = profilers[prefill_xpu.name]
-        prefill_model = perf_models[prefill_xpu.name]
-        for decode_xpu in GENERATIONS:
-            decode_profiler = profilers[decode_xpu.name]
-            decode_model = perf_models[decode_xpu.name]
-            for placement in placements:
-                pre_groups = placement[:-1]
-                try:
-                    minimums = [max(prefill_model.min_resource(stage)
-                                    for stage in group)
-                                for group in pre_groups]
-                    minimums.append(
-                        decode_model.min_resource(Stage.DECODE))
-                except CapacityError:  # model does not fit this chip
-                    continue
-                try:
-                    allocations = list(enumerate_allocations(minimums,
-                                                             budget))
-                except ConfigError:
-                    continue
-                for allocation in allocations:
-                    total = sum(allocation)
-                    servers = max(retrieval_floor,
-                                  cluster.servers_for_xpus(total))
-                    if servers > cluster.num_servers:
-                        continue
-                    options = None
-                    feasible = True
-                    for group, chips in zip(pre_groups, allocation[:-1]):
-                        group_opts = prefill_profiler.group_options(group,
-                                                                    chips)
-                        if not group_opts:
-                            feasible = False
-                            break
-                        options = group_opts if options is None else \
-                            _serial_merge(options, group_opts)
-                    if not feasible:
-                        continue
-                    decode_opts = decode_profiler.stage_options(
-                        Stage.DECODE, allocation[-1])
-                    if not decode_opts:
-                        continue
-                    options = decode_opts if options is None else \
-                        _serial_merge(options, decode_opts)
-                    if schema.has_retrieval:
-                        retr_opts = prefill_profiler.stage_options(
-                            Stage.RETRIEVAL, servers)
-                        if not retr_opts:
-                            continue
-                        options = _serial_merge(options, retr_opts)
-                    prefill_chips = sum(allocation[:-1])
-                    decode_chips = allocation[-1]
-                    dollars = (prefill_chips * prices[prefill_xpu.name]
-                               + decode_chips * prices[decode_xpu.name]
-                               + servers * server_price)
-                    for ttft, qps, _ in _prune(options):
-                        point = HeteroPoint(
-                            prefill_xpu=prefill_xpu.name,
-                            decode_xpu=decode_xpu.name,
-                            ttft=ttft,
-                            qps=qps,
-                            dollars_per_hour=dollars,
-                            qps_per_dollar=qps / dollars,
-                            prefill_chips=prefill_chips,
-                            decode_chips=decode_chips,
-                            servers=servers,
-                        )
-                        points.append((ttft, qps / dollars, point))
+    profilers = {xpu.name: _Profiler(RAGPerfModel(schema,
+                                                  replace(cluster, xpu=xpu)),
+                                     config)
+                 for xpu in GENERATIONS}
+    points: List[HeteroPoint] = []
+    for prefill_xpu, decode_xpu in product(GENERATIONS, repeat=2):
+        prefill = profilers[prefill_xpu.name]
+        decode = profilers[decode_xpu.name]
+        plans = _plans(config, prefill,
+                       lambda group: decode if group == (Stage.DECODE,)
+                       else prefill)
+        for _, allocation, servers, options in plans:
+            decode_chips = allocation[-1]
+            prefill_chips = sum(allocation) - decode_chips
+            # Every occupied host is paid for, retrieval or not.
+            hosts = max(servers, cluster.servers_for_xpus(sum(allocation)))
+            dollars = (prefill_chips * prices[prefill_xpu.name]
+                       + decode_chips * prices[decode_xpu.name]
+                       + hosts * server_price)
+            points += [HeteroPoint(prefill_xpu=prefill_xpu.name,
+                                   decode_xpu=decode_xpu.name, ttft=ttft,
+                                   qps=qps, dollars_per_hour=dollars,
+                                   qps_per_dollar=qps / dollars,
+                                   prefill_chips=prefill_chips,
+                                   decode_chips=decode_chips, servers=hosts)
+                       for ttft, qps, _ in options]
 
     if not points:
         raise ScheduleError(f"no feasible hetero plan for {schema.name}")
-
-    # Pareto over (ttft, qps_per_dollar).
-    points.sort(key=lambda entry: (entry[0], -entry[1]))
-    frontier: List[HeteroPoint] = []
-    best_value = -1.0
-    for ttft, value, point in points:
-        if value > best_value:
-            frontier.append(point)
-            best_value = value
-
+    frontier = pareto_front(points, cost=lambda p: p.ttft,
+                            value=lambda p: p.qps_per_dollar)
     best = max(frontier, key=lambda p: p.qps_per_dollar)
-    homogeneous = [entry[2] for entry in points
-                   if entry[2].prefill_xpu == entry[2].decode_xpu]
-    best_homogeneous = max(homogeneous,
+    best_homogeneous = max((p for p in points
+                            if p.prefill_xpu == p.decode_xpu),
                            key=lambda p: p.qps_per_dollar)
     return HeteroResult(frontier=frontier,
                         best_homogeneous=best_homogeneous, best=best)

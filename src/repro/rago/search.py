@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import CapacityError, ConfigError, ScheduleError
 from repro.pipeline.assembly import PipelinePerf, PlacementGroup, Schedule, assemble
@@ -39,6 +39,13 @@ _Option = Tuple[float, float, Tuple[Tuple[Stage, int, object], ...]]
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs bounding RAGO's search space (the paper's "granularity").
+
+    The plan-space fields (``budget_xpus``, ``placements``,
+    ``allocations``) and the batch caps bound both
+    :func:`search_schedules` and the split-generation search
+    (:func:`repro.rago.hetero.split_generation_search`);
+    ``collect_per_plan`` and ``max_frontier_points`` only apply to
+    :func:`search_schedules`.
 
     Attributes:
         budget_xpus: Total accelerator budget; None uses the cluster's.
@@ -137,7 +144,7 @@ class _Profiler:
     """Caches per-stage and per-group option sets (Algorithm 1, step 1)."""
 
     def __init__(self, perf_model: RAGPerfModel, config: SearchConfig) -> None:
-        self._perf_model = perf_model
+        self.perf_model = perf_model
         self._config = config
         self._schema = perf_model.schema
         self._ttft_set = set(ttft_stages(self._schema))
@@ -161,7 +168,7 @@ class _Profiler:
         for batch in batch_options(stage, self._config.max_batch,
                                    self._config.max_decode_batch):
             try:
-                perfs = self._perf_model.perf_options(stage, batch, resource)
+                perfs = self.perf_model.perf_options(stage, batch, resource)
             except CapacityError:
                 continue
             for perf in perfs:
@@ -229,49 +236,42 @@ def _harmonic_merge(left: List[_Option],
     return _prune(merged)
 
 
-def search_schedules(perf_model: RAGPerfModel,
-                     config: Optional[SearchConfig] = None) -> SearchResult:
-    """Run Algorithm 1 and return the TTFT vs. QPS/chip frontier.
+def _plans(config: SearchConfig, retrieval: _Profiler,
+           group_profiler: Callable[[Tuple[Stage, ...]], _Profiler]
+           ) -> Iterator[Tuple[Placement, Tuple[int, ...], int,
+                               List[_Option]]]:
+    """Algorithm 1's plan loop: placement x allocation, batching composed.
+
+    Yields ``(placement, allocation, retrieval_servers, options)`` for
+    every plan in ``config``'s space; ``options`` (the plan's Pareto
+    (ttft, qps, choices) points) is empty when the plan is infeasible.
+    ``group_profiler`` costs each placement group, so one search can run
+    groups on different XPU generations; ``retrieval`` costs retrieval
+    and its model supplies the schema and the cluster's shape.
 
     Raises:
-        ScheduleError: when no feasible schedule exists in the budget.
-        ConfigError: on inconsistent configuration.
+        ConfigError: on a budget outside the cluster.
     """
-    config = config or SearchConfig()
-    schema = perf_model.schema
-    cluster = perf_model.cluster
+    schema = retrieval.perf_model.schema
+    cluster = retrieval.perf_model.cluster
     budget = config.budget_xpus or cluster.total_xpus
     if budget <= 0:
         raise ConfigError("budget_xpus must be positive")
     if budget > cluster.total_xpus:
-        raise ConfigError(
-            f"budget {budget} exceeds the cluster's {cluster.total_xpus} XPUs"
-        )
-    placements = list(config.placements
-                      if config.placements is not None
-                      else enumerate_placements(schema))
-    profiler = _Profiler(perf_model, config)
-
-    candidates: List[Tuple[float, float, Schedule]] = []
-    per_plan: List[PlanFrontier] = []
-    num_plans = 0
-    num_candidates = 0
-
-    retrieval_floor = (perf_model.retrieval.min_servers()
+        raise ConfigError(f"budget {budget} exceeds the cluster's "
+                          f"{cluster.total_xpus} XPUs")
+    placements = (config.placements if config.placements is not None
+                  else enumerate_placements(schema))
+    retrieval_floor = (retrieval.perf_model.retrieval.min_servers()
                        if schema.has_retrieval else 0)
 
     for placement in placements:
-        group_minimums = []
-        feasible = True
-        for group in placement:
-            try:
-                minimum = max(perf_model.min_resource(stage)
-                              for stage in group)
-            except CapacityError:
-                feasible = False
-                break
-            group_minimums.append(minimum)
-        if not feasible:
+        profilers = [group_profiler(group) for group in placement]
+        try:
+            group_minimums = [
+                max(profiler.perf_model.min_resource(stage) for stage in group)
+                for group, profiler in zip(placement, profilers)]
+        except CapacityError:
             continue
         if config.allocations is not None:
             allocations = [
@@ -287,28 +287,25 @@ def search_schedules(perf_model: RAGPerfModel,
                                                          budget))
             except ConfigError:
                 continue
+        spanning_index = next(
+            (index for index, group in enumerate(placement)
+             if len(group) > 1 and spans_retrieval(group, schema)),
+            None)
         for allocation in allocations:
-            num_plans += 1
-            total_xpus = sum(allocation)
             servers = 0
-            if schema.has_retrieval:
-                servers = max(retrieval_floor,
-                              cluster.servers_for_xpus(total_xpus))
-                if servers > cluster.num_servers:
-                    continue
             retrieval_opts: List[_Option] = []
             if schema.has_retrieval:
-                retrieval_opts = profiler.stage_options(Stage.RETRIEVAL,
-                                                        servers)
+                servers = max(retrieval_floor,
+                              cluster.servers_for_xpus(sum(allocation)))
+                if servers <= cluster.num_servers:
+                    retrieval_opts = retrieval.stage_options(Stage.RETRIEVAL,
+                                                             servers)
                 if not retrieval_opts:
+                    yield placement, allocation, servers, []
                     continue
-            spanning_index = next(
-                (index for index, group in enumerate(placement)
-                 if len(group) > 1 and spans_retrieval(group, schema)),
-                None)
             options: Optional[List[_Option]] = None
-            for index, (group, chips) in enumerate(zip(placement,
-                                                       allocation)):
+            for index, (group, chips, profiler) in enumerate(
+                    zip(placement, allocation, profilers)):
                 group_opts = profiler.group_options(group, chips)
                 if group_opts and index == spanning_index:
                     # §6.1: chips idle during retrieval between the
@@ -320,45 +317,70 @@ def search_schedules(perf_model: RAGPerfModel,
                     break
                 options = group_opts if options is None \
                     else _serial_merge(options, group_opts)
-            if not options:
-                continue
-            if schema.has_retrieval and spanning_index is None:
+            if options and schema.has_retrieval and spanning_index is None:
                 options = _serial_merge(options, retrieval_opts)
-            charged_chips = max(total_xpus,
-                                servers * cluster.xpus_per_server)
-            plan_points: List[Tuple[float, float]] = []
-            for ttft, qps, choices in options:
-                num_candidates += 1
-                batch_map = {stage: batch for stage, batch, _ in choices}
-                shard_plans = {stage: plan for stage, _, plan in choices
-                               if plan is not None}
-                schedule = Schedule(
-                    groups=tuple(
-                        PlacementGroup(stages=group, num_xpus=chips)
-                        for group, chips in zip(placement, allocation)),
-                    batches=batch_map,
-                    retrieval_servers=servers if schema.has_retrieval
-                    else None,
-                    shard_plans=shard_plans,
-                )
-                qps_per_chip = qps / charged_chips
-                candidates.append((ttft, qps_per_chip, schedule))
-                plan_points.append((ttft, qps_per_chip))
-            if config.collect_per_plan and plan_points:
-                front = pareto_front(plan_points,
-                                     cost=lambda p: p[0],
-                                     value=lambda p: p[1])
-                per_plan.append(PlanFrontier(placement=placement,
-                                             allocation=allocation,
-                                             points=tuple(front)))
-            if len(candidates) > config.max_frontier_points:
-                candidates = pareto_front(candidates,
-                                          cost=lambda c: c[0],
-                                          value=lambda c: c[1])
+            yield placement, allocation, servers, options or []
+
+
+def search_schedules(perf_model: RAGPerfModel,
+                     config: Optional[SearchConfig] = None) -> SearchResult:
+    """Run Algorithm 1 and return the TTFT vs. QPS/chip frontier.
+
+    Raises:
+        ScheduleError: when no feasible schedule exists in the budget.
+        ConfigError: on inconsistent configuration.
+    """
+    config = config or SearchConfig()
+    schema = perf_model.schema
+    cluster = perf_model.cluster
+    profiler = _Profiler(perf_model, config)
+
+    candidates: List[Tuple[float, float, Schedule]] = []
+    per_plan: List[PlanFrontier] = []
+    num_plans = 0
+    num_candidates = 0
+
+    for placement, allocation, servers, options in _plans(
+            config, profiler, lambda group: profiler):
+        num_plans += 1
+        if not options:
+            continue
+        charged_chips = max(sum(allocation),
+                            servers * cluster.xpus_per_server)
+        plan_points: List[Tuple[float, float]] = []
+        for ttft, qps, choices in options:
+            num_candidates += 1
+            batch_map = {stage: batch for stage, batch, _ in choices}
+            shard_plans = {stage: plan for stage, _, plan in choices
+                           if plan is not None}
+            schedule = Schedule(
+                groups=tuple(
+                    PlacementGroup(stages=group, num_xpus=chips)
+                    for group, chips in zip(placement, allocation)),
+                batches=batch_map,
+                retrieval_servers=servers if schema.has_retrieval
+                else None,
+                shard_plans=shard_plans,
+            )
+            qps_per_chip = qps / charged_chips
+            candidates.append((ttft, qps_per_chip, schedule))
+            plan_points.append((ttft, qps_per_chip))
+        if config.collect_per_plan:
+            front = pareto_front(plan_points,
+                                 cost=lambda p: p[0],
+                                 value=lambda p: p[1])
+            per_plan.append(PlanFrontier(placement=placement,
+                                         allocation=allocation,
+                                         points=tuple(front)))
+        if len(candidates) > config.max_frontier_points:
+            candidates = pareto_front(candidates,
+                                      cost=lambda c: c[0],
+                                      value=lambda c: c[1])
 
     if not candidates:
         raise ScheduleError(
-            f"no feasible schedule for {schema.name} within {budget} XPUs"
+            f"no feasible schedule for {schema.name} within "
+            f"{config.budget_xpus or cluster.total_xpus} XPUs"
         )
     front = pareto_front(candidates, cost=lambda c: c[0],
                          value=lambda c: c[1])

@@ -231,12 +231,6 @@ class Simulation:
             raise ConfigError("delay must be non-negative")
         self._queue.push_event(self._now + delay, kind, arg)
 
-    def schedule_event_at(self, time: float, kind: int, arg: Any) -> None:
-        """Schedule a kind-dispatched event at an absolute time."""
-        if time < self._now:
-            raise ConfigError("cannot schedule in the past")
-        self._queue.push_event(time, kind, arg)
-
     # simlint: hotpath
     def run(self, until: Optional[float] = None,
             max_events: int = 10_000_000) -> None:
@@ -1073,9 +1067,10 @@ class ServingEngine:
         self._slab_enq.extend(pad)
         self._slab_comp.extend(pad)
         self._slab_wait.extend(pad)
-        # Inline schedule_event_at(arrival, ...): arrival >= now was
-        # validated by _new_record, and replay-heavy callers submit whole
-        # traces, so the call layers matter.
+        # Push the arrival event at its absolute time straight into the
+        # slab queue: arrival >= now was validated by _new_record, and
+        # replay-heavy callers submit whole traces, so the call layers
+        # matter.
         q = self._queue
         free = q._free
         if not free:

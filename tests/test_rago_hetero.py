@@ -1,15 +1,20 @@
 """Heterogeneous (split-generation) allocation tests."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigError
 from repro.hardware import ClusterSpec
+from repro.pipeline import RAGPerfModel
 from repro.rago.hetero import (
     DEFAULT_XPU_PRICES,
+    GENERATIONS,
     HeteroResult,
     split_generation_search,
 )
-from repro.schema import case_i_hyperscale, llm_only
+from repro.rago.search import SearchConfig, search_schedules
+from repro.schema import case_i_hyperscale, case_ii_long_context, llm_only
 
 
 @pytest.fixture(scope="module")
@@ -85,3 +90,52 @@ def test_case_iv_hetero_search_runs(cluster):
                                      cluster)
     assert result.frontier
     assert result.hetero_gain >= 1.0
+
+
+def test_homogeneous_point_matches_algorithm_1():
+    # Case II collocates stages that straddle retrieval, so §6.1's
+    # harmonic retrieval stall decides the homogeneous baseline: the
+    # split search must price the very plan Algorithm 1 finds on that
+    # generation.
+    schema = case_ii_long_context(llm="70B")
+    cluster = ClusterSpec(num_servers=16)
+    point = split_generation_search(schema, cluster).best_homogeneous
+    xpu = next(xpu for xpu in GENERATIONS if xpu.name == point.prefill_xpu)
+    search = search_schedules(
+        RAGPerfModel(schema, replace(cluster, xpu=xpu)),
+        SearchConfig(max_batch=64, max_decode_batch=512,
+                     collect_per_plan=True))
+    charged = max(point.prefill_chips + point.decode_chips,
+                  point.servers * cluster.xpus_per_server)
+    matches = [
+        plan for plan in search.per_plan
+        if sum(plan.allocation[:-1]) == point.prefill_chips
+        and plan.allocation[-1] == point.decode_chips
+        and any(ttft == point.ttft
+                and qps_per_chip * charged == pytest.approx(point.qps,
+                                                            rel=1e-9)
+                for ttft, qps_per_chip in plan.points)]
+    assert matches
+
+
+def test_budget_caps_every_plan(cluster):
+    config = SearchConfig(budget_xpus=8, max_batch=64, max_decode_batch=512)
+    result = split_generation_search(llm_only("8B"), cluster, config=config)
+    assert result.frontier
+    for point in result.frontier:
+        assert point.prefill_chips + point.decode_chips <= 8
+
+
+def test_budget_above_cluster_rejected(cluster):
+    config = SearchConfig(budget_xpus=cluster.total_xpus + 1)
+    with pytest.raises(ConfigError):
+        split_generation_search(llm_only("8B"), cluster, config=config)
+
+
+def test_allocation_restriction_followed(cluster):
+    config = SearchConfig(allocations=[(4, 4)], max_batch=64,
+                          max_decode_batch=512)
+    result = split_generation_search(llm_only("8B"), cluster, config=config)
+    assert result.frontier
+    for point in result.frontier:
+        assert (point.prefill_chips, point.decode_chips) == (4, 4)
