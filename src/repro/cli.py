@@ -50,6 +50,7 @@ CI fails only on *new* findings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 from typing import List, Optional
 
@@ -73,6 +74,7 @@ from repro.sim.autoscale import (
     autoscale_spec,
     parse_autoscale_spec,
 )
+from repro.sim.fleet import FleetEngine
 from repro.sim.policies import (
     ADMISSION_POLICIES,
     DISPATCH_POLICIES,
@@ -85,30 +87,9 @@ from repro.workloads.traces import SCENARIOS
 #: Accelerator generations by their --xpu letter (Table 2).
 _XPU_BY_LETTER = {"A": XPU_A, "B": XPU_B, "C": XPU_C}
 
-#: Choice lists for `repro replay` / `repro serve`.
-_SCENARIO_NAMES = frozenset(SCENARIOS)
-_DISPATCH_NAMES = frozenset(DISPATCH_POLICIES)
-_ROUTING_NAMES = frozenset(ROUTING_POLICIES)
-#: --admission is free-form (parameterized values like
-#: token-budget=4096 are legal), so its help lists the named policies.
-_ADMISSION_HELP = (f"decode admission policy: "
-                   f"{'/'.join(sorted(ADMISSION_POLICIES))} or "
-                   f"token-budget=<int> (default greedy)")
-#: --autoscale is a key=value spec; its help lists the controllers.
-_AUTOSCALE_HELP = (f"elastic fleet: policy=NAME,min=N,max=N"
-                   f"[,interval=S,cooldown=S,up=X,down=X]; policies: "
-                   f"{'/'.join(sorted(AUTOSCALE_POLICIES))} "
-                   f"(exclusive with --replicas)")
-#: --population / --tiers speak the same key=value spec grammar.
-_POPULATION_HELP = ("closed-loop user population: "
-                    "users=N[,think=S,concurrency=N,session=N,decode=N,"
-                    "seed=N,tiers=NAME]; replaces the open-loop "
-                    "scenario (users submit, think, resubmit until "
-                    "--duration)")
-_TIERS_HELP = ("SLO tier set: a registry name (single/free-paid) or "
-               "custom=<name>:<rank>[:<share>]|...; multi-tier sets "
-               "derive a priority admission policy unless --admission "
-               "overrides it")
+#: Choice lists shared by several subcommands.
+_CASES = ("i", "ii", "iii", "iv")
+_BACKENDS = ("serial", "process", "sockets")
 
 
 def _tier_admission(policy):
@@ -119,63 +100,127 @@ def _tier_admission(policy):
         (tier.name, tier.rank) for tier in policy.tiers))
 
 
+def _workload_flags() -> argparse.ArgumentParser:
+    """The workload/cluster flags of optimize, whatif, replay and serve."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--case", choices=_CASES, default="i",
+                       help="paradigm (Table 3)")
+    flags.add_argument("--llm", default="8B",
+                       help="generative LLM size label (1B/8B/70B/405B)")
+    flags.add_argument("--context", type=int, default=1_000_000,
+                       help="context length for case ii")
+    flags.add_argument("--retrievals", type=int, default=4,
+                       help="retrieval frequency for case iii")
+    flags.add_argument("--servers", type=int, default=None,
+                       help="cluster host servers (4 XPUs each, default "
+                            "32); overrides a --config cluster")
+    flags.add_argument("--xpu", choices=tuple(_XPU_BY_LETTER), default=None,
+                       help="accelerator generation (Table 2, default C); "
+                            "overrides a --config cluster")
+    return flags
+
+
+def _source_flags(schedule: bool) -> argparse.ArgumentParser:
+    """Where the served schedule comes from: a config file, an SLO to
+    search under and (replay/serve) an explicit schedule file."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--config", dest="config_path", default=None,
+                       help="serialized workload or optimization config "
+                            "(repro.config JSON); overrides --case/--llm")
+    flags.add_argument("--max-ttft", type=float, default=None,
+                       help="TTFT SLO in seconds for the search; replaces "
+                            "--config's TTFT bound (other bounds stay in "
+                            "force)")
+    if schedule:
+        flags.add_argument("--schedule", dest="schedule_path", default=None,
+                           help="use this exact schedule -- a schedule "
+                                "envelope or a replay/serve --json "
+                                "artifact -- instead of searching")
+    return flags
+
+
+def _policy_flags() -> argparse.ArgumentParser:
+    """The engine policy and fleet flags of replay and serve."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--dispatch", choices=sorted(DISPATCH_POLICIES),
+                       default=None,
+                       help="batch-dispatch policy for pre-decode stages "
+                            "(default deadline-flush)")
+    flags.add_argument("--admission", default=None, metavar="POLICY",
+                       help=f"decode admission policy: "
+                            f"{'/'.join(sorted(ADMISSION_POLICIES))} or "
+                            f"token-budget=<int> (default greedy)")
+    flags.add_argument("--tiers", default=None, metavar="SPEC",
+                       help="SLO tier set: a registry name (single/"
+                            "free-paid) or custom=<name>:<rank>[:<share>]"
+                            "|...; multi-tier sets derive a priority "
+                            "admission policy")
+    flags.add_argument("--replicas", type=int, default=None,
+                       help="run a fleet of N engine replicas (default 1: "
+                            "a single engine)")
+    flags.add_argument("--routing", choices=sorted(ROUTING_POLICIES),
+                       default=None,
+                       help="fleet request-routing policy "
+                            "(default round-robin)")
+    flags.add_argument("--autoscale", default=None, metavar="SPEC",
+                       help=f"elastic fleet: policy=NAME,min=N,max=N"
+                            f"[,interval=S,cooldown=S,up=X,down=X]; "
+                            f"policies: "
+                            f"{'/'.join(sorted(AUTOSCALE_POLICIES))} "
+                            f"(exclusive with --replicas)")
+    flags.add_argument("--slo-ttft", type=float, default=None,
+                       help="TTFT target in seconds for attainment "
+                            "accounting (default: 5x analytical TTFT)")
+    flags.add_argument("--slo-tpot", type=float, default=None,
+                       help="TPOT target in seconds for attainment "
+                            "accounting (default: 2x analytical TPOT)")
+    return flags
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="RAGO reproduction: experiments and schedule search",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    workload = _workload_flags()
+    policy = _policy_flags()
 
-    commands.add_parser("list", help="list regenerable paper artifacts")
+    listing = commands.add_parser("list",
+                                  help="list regenerable paper artifacts")
+    listing.set_defaults(handler=_command_list)
 
     run = commands.add_parser("run", help="regenerate one table/figure")
+    run.set_defaults(handler=_command_run)
     run.add_argument("experiment", help="artifact id, e.g. fig5 or table4")
     run.add_argument("--full", action="store_true",
                      help="use the paper's full sweep densities")
     run.add_argument("--json", dest="json_path", default=None,
                      help="also dump the structured data to a JSON file")
 
-    optimize = commands.add_parser("optimize",
-                                   help="run RAGO on a preset or config file")
-    optimize.add_argument("--case", choices=("i", "ii", "iii", "iv"),
-                          default="i", help="paradigm (Table 3)")
-    optimize.add_argument("--llm", default="8B",
-                          help="generative LLM size label (1B/8B/70B/405B)")
-    optimize.add_argument("--context", type=int, default=1_000_000,
-                          help="context length for case ii")
-    optimize.add_argument("--retrievals", type=int, default=4,
-                          help="retrieval frequency for case iii")
-    optimize.add_argument("--servers", type=int, default=None,
-                          help="cluster host servers (4 XPUs each, "
-                               "default 32); overrides --config's cluster")
-    optimize.add_argument("--xpu", choices=("A", "B", "C"), default=None,
-                          help="accelerator generation (Table 2, default "
-                               "C); overrides --config's cluster")
-    optimize.add_argument("--max-ttft", type=float, default=None,
-                          help="TTFT SLO in seconds; overrides --config's "
-                               "TTFT bound (other bounds stay in force)")
-    optimize.add_argument("--config", dest="config_path", default=None,
-                          help="serialized workload or optimization config "
-                               "(repro.config JSON); overrides --case/--llm")
+    optimize = commands.add_parser(
+        "optimize", parents=[workload, _source_flags(schedule=False)],
+        help="run RAGO on a preset or config file")
+    optimize.set_defaults(handler=_command_optimize)
     optimize.add_argument("--json", dest="json_path", default=None,
                           help="also dump the frontier and chosen schedule "
                                "to a JSON file")
 
     sweep = commands.add_parser(
         "sweep", help="search a grid of LLM sizes x cluster sizes")
-    sweep.add_argument("--case", choices=("i", "ii", "iii", "iv"),
-                       default="i")
+    sweep.set_defaults(handler=functools.partial(_command_sweep,
+                                                 parser=sweep))
+    sweep.add_argument("--case", choices=_CASES, default="i")
     sweep.add_argument("--llms", default="1B,8B",
                        help="comma-separated LLM size labels")
     sweep.add_argument("--servers", default="32",
                        help="comma-separated host-server counts")
     sweep.add_argument("--context", type=int, default=1_000_000)
     sweep.add_argument("--retrievals", type=int, default=4)
-    sweep.add_argument("--xpu", choices=("A", "B", "C"), default="C")
+    sweep.add_argument("--xpu", choices=tuple(_XPU_BY_LETTER), default="C")
     sweep.add_argument("--processes", type=int, default=1,
                        help="worker processes for the sweep executor")
-    sweep.add_argument("--backend", choices=("serial", "process",
-                                             "sockets"), default=None,
+    sweep.add_argument("--backend", choices=_BACKENDS, default=None,
                        help="sweep executor backend (default: process "
                             "when --processes > 1, else serial); all "
                             "backends produce identical tables")
@@ -187,23 +232,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="also dump the tidy result table to a JSON file")
 
     whatif = commands.add_parser(
-        "whatif", help="replay a recorded trace against a policy grid")
-    whatif.add_argument("--case", choices=("i", "ii", "iii", "iv"),
-                        default="i", help="paradigm (Table 3)")
-    whatif.add_argument("--llm", default="8B",
-                        help="generative LLM size label (1B/8B/70B/405B)")
-    whatif.add_argument("--context", type=int, default=1_000_000,
-                        help="context length for case ii")
-    whatif.add_argument("--retrievals", type=int, default=4,
-                        help="retrieval frequency for case iii")
-    whatif.add_argument("--servers", type=int, default=None,
-                        help="cluster host servers (default 32)")
-    whatif.add_argument("--xpu", choices=("A", "B", "C"), default=None,
-                        help="accelerator generation (default C)")
+        "whatif", parents=[workload],
+        help="replay a recorded trace against a policy grid")
+    whatif.set_defaults(handler=functools.partial(_command_whatif,
+                                                  parser=whatif))
     whatif.add_argument("--trace", dest="trace_path", default=None,
                         help="recorded JSONL trace to replay (exclusive "
                              "with --scenario)")
-    whatif.add_argument("--scenario", choices=sorted(_SCENARIO_NAMES),
+    whatif.add_argument("--scenario", choices=sorted(SCENARIOS),
                         default=None,
                         help="generate this traffic scenario instead of "
                              "replaying a recording (default poisson)")
@@ -236,8 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     whatif.add_argument("--slo-tpot", type=float, default=None,
                         help="TPOT target in seconds (default: 2x "
                              "analytical TPOT)")
-    whatif.add_argument("--backend", choices=("serial", "process",
-                                              "sockets"), default=None,
+    whatif.add_argument("--backend", choices=_BACKENDS, default=None,
                         help="executor backend (default: process when "
                              "--workers > 1, else serial)")
     whatif.add_argument("--workers", type=int, default=1,
@@ -254,30 +289,10 @@ def _build_parser() -> argparse.ArgumentParser:
                              "workload/cluster/trace) to a JSON file")
 
     replay = commands.add_parser(
-        "replay", help="replay live traffic through a searched schedule")
-    replay.add_argument("--case", choices=("i", "ii", "iii", "iv"),
-                        default="i", help="paradigm (Table 3)")
-    replay.add_argument("--llm", default="8B",
-                        help="generative LLM size label (1B/8B/70B/405B)")
-    replay.add_argument("--context", type=int, default=1_000_000,
-                        help="context length for case ii")
-    replay.add_argument("--retrievals", type=int, default=4,
-                        help="retrieval frequency for case iii")
-    replay.add_argument("--servers", type=int, default=None,
-                        help="cluster host servers (default 32)")
-    replay.add_argument("--xpu", choices=("A", "B", "C"), default=None,
-                        help="accelerator generation (default C)")
-    replay.add_argument("--config", dest="config_path", default=None,
-                        help="serialized workload or optimization config "
-                             "(repro.config JSON); overrides --case/--llm")
-    replay.add_argument("--schedule", dest="schedule_path", default=None,
-                        help="replay through this exact schedule -- a "
-                             "schedule envelope or a replay/serve --json "
-                             "artifact -- instead of searching")
-    replay.add_argument("--max-ttft", type=float, default=None,
-                        help="TTFT SLO used to pick the schedule (and, "
-                             "unless --slo-ttft is given, to score it)")
-    replay.add_argument("--scenario", choices=sorted(_SCENARIO_NAMES),
+        "replay", parents=[workload, _source_flags(schedule=True), policy],
+        help="replay live traffic through a searched schedule")
+    replay.set_defaults(handler=_command_replay)
+    replay.add_argument("--scenario", choices=sorted(SCENARIOS),
                         default=None,
                         help="built-in traffic scenario to generate "
                              "(default poisson; exclusive with --trace)")
@@ -294,57 +309,19 @@ def _build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--seed", type=int, default=0,
                         help="scenario RNG seed")
     replay.add_argument("--population", default=None, metavar="SPEC",
-                        help=_POPULATION_HELP)
-    replay.add_argument("--tiers", default=None, metavar="SPEC",
-                        help=_TIERS_HELP)
-    replay.add_argument("--dispatch", choices=sorted(_DISPATCH_NAMES),
-                        default=None,
-                        help="batch-dispatch policy for pre-decode stages "
-                             "(default deadline-flush)")
-    replay.add_argument("--admission", default=None, metavar="POLICY",
-                        help=_ADMISSION_HELP)
-    replay.add_argument("--replicas", type=int, default=None,
-                        help="replay through a fleet of N engine "
-                             "replicas (default 1: a single engine)")
-    replay.add_argument("--routing", choices=sorted(_ROUTING_NAMES),
-                        default=None,
-                        help="fleet request-routing policy "
-                             "(default round-robin)")
-    replay.add_argument("--autoscale", default=None, metavar="SPEC",
-                        help=_AUTOSCALE_HELP)
-    replay.add_argument("--slo-ttft", type=float, default=None,
-                        help="TTFT target in seconds for attainment "
-                             "accounting (default: 5x analytical TTFT)")
-    replay.add_argument("--slo-tpot", type=float, default=None,
-                        help="TPOT target in seconds for attainment "
-                             "accounting (default: 2x analytical TPOT)")
+                        help="closed-loop user population: "
+                             "users=N[,think=S,concurrency=N,session=N,"
+                             "decode=N,seed=N,tiers=NAME]; replaces the "
+                             "open-loop scenario (users submit, think, "
+                             "resubmit until --duration)")
     replay.add_argument("--json", dest="json_path", default=None,
                         help="dump the serving report (plus schedule and "
                              "trace envelopes) to a JSON file")
 
     serve = commands.add_parser(
-        "serve", help="serve a live request stream over a socket")
-    serve.add_argument("--case", choices=("i", "ii", "iii", "iv"),
-                       default="i", help="paradigm (Table 3)")
-    serve.add_argument("--llm", default="8B",
-                       help="generative LLM size label (1B/8B/70B/405B)")
-    serve.add_argument("--context", type=int, default=1_000_000,
-                       help="context length for case ii")
-    serve.add_argument("--retrievals", type=int, default=4,
-                       help="retrieval frequency for case iii")
-    serve.add_argument("--servers", type=int, default=None,
-                       help="cluster host servers (default 32)")
-    serve.add_argument("--xpu", choices=("A", "B", "C"), default=None,
-                       help="accelerator generation (default C)")
-    serve.add_argument("--config", dest="config_path", default=None,
-                       help="serialized workload or optimization config "
-                            "(repro.config JSON); overrides --case/--llm")
-    serve.add_argument("--max-ttft", type=float, default=None,
-                       help="TTFT SLO used to pick the served schedule")
-    serve.add_argument("--schedule", dest="schedule_path", default=None,
-                       help="serve this exact schedule -- a schedule "
-                            "envelope or a replay/serve --json artifact "
-                            "-- instead of the searched knee")
+        "serve", parents=[workload, _source_flags(schedule=True), policy],
+        help="serve a live request stream over a socket")
+    serve.set_defaults(handler=_command_serve)
     serve.add_argument("--serve-config", dest="serve_config_path",
                        default=None,
                        help="serve_config envelope (repro.config JSON) "
@@ -361,28 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--time-scale", type=float, default=None,
                        help="simulated seconds per wall second "
                             "(default 1.0; raise to fast-forward)")
-    serve.add_argument("--dispatch", choices=sorted(_DISPATCH_NAMES),
-                       default=None,
-                       help="batch-dispatch policy for pre-decode stages")
-    serve.add_argument("--admission", default=None, metavar="POLICY",
-                       help=_ADMISSION_HELP)
-    serve.add_argument("--tiers", default=None, metavar="SPEC",
-                       help=_TIERS_HELP)
-    serve.add_argument("--replicas", type=int, default=None,
-                       help="serve N engine replicas behind one socket "
-                            "(default 1)")
-    serve.add_argument("--routing", choices=sorted(_ROUTING_NAMES),
-                       default=None,
-                       help="fleet request-routing policy "
-                            "(default round-robin)")
-    serve.add_argument("--autoscale", default=None, metavar="SPEC",
-                       help=_AUTOSCALE_HELP)
-    serve.add_argument("--slo-ttft", type=float, default=None,
-                       help="TTFT target in seconds scored per "
-                            "completion (default: 5x analytical TTFT)")
-    serve.add_argument("--slo-tpot", type=float, default=None,
-                       help="TPOT target in seconds scored per "
-                            "completion (default: 2x analytical TPOT)")
     serve.add_argument("--record", dest="record_path", default=None,
                        help="write the observed arrivals as a replayable "
                             "JSONL trace on shutdown")
@@ -393,6 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     trace_cmd = commands.add_parser(
         "trace", help="inspect/compare recorded JSONL traces")
+    trace_cmd.set_defaults(handler=_command_trace)
     trace_cmd.add_argument("paths", nargs="+", metavar="TRACE",
                            help="recorded JSONL trace files "
                                 "(RequestTrace.to_jsonl / repro serve "
@@ -402,6 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint = commands.add_parser(
         "lint", help="run the determinism & drift linter (simlint)")
+    lint.set_defaults(handler=_command_lint)
     lint.add_argument("paths", nargs="*", default=["src/repro"],
                       metavar="PATH",
                       help="files/directories to lint "
@@ -442,6 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = commands.add_parser(
         "bench", help="profile the DES hot path on the canonical trace")
+    bench.set_defaults(handler=_command_bench)
     bench.add_argument("--requests", type=int, default=None,
                        help="trace size (default: the canonical "
                             "100k-request replay)")
@@ -457,8 +415,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     prov = commands.add_parser(
         "provision", help="size a fleet for a target load")
-    prov.add_argument("--case", choices=("i", "ii", "iii", "iv"),
-                      default="i")
+    prov.set_defaults(handler=_command_provision)
+    prov.add_argument("--case", choices=_CASES, default="i")
     prov.add_argument("--llm", default="8B")
     prov.add_argument("--context", type=int, default=1_000_000)
     prov.add_argument("--retrievals", type=int, default=4)
@@ -480,7 +438,14 @@ def _schema_for(args: argparse.Namespace, llm: Optional[str] = None):
     return case_iv_rewriter_reranker(llm)
 
 
-def _command_list() -> int:
+def _write_json(path: str, payload) -> None:
+    """Dump one --json artifact and say where it went."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=1)
+    print(f"wrote {path}")
+
+
+def _command_list(args: argparse.Namespace) -> int:
     width = max(len(exp_id) for exp_id in EXPERIMENTS)
     for exp_id, exp in sorted(EXPERIMENTS.items()):
         print(f"{exp_id.ljust(width)}  {exp.title}")
@@ -504,15 +469,12 @@ def _command_run(args: argparse.Namespace) -> int:
     output = experiment.runner()(fast=not args.full)
     print(output)
     if args.json_path:
-        payload = {
+        _write_json(args.json_path, {
             "exp_id": output.exp_id,
             "title": output.title,
             "notes": output.notes,
             "data": _jsonable(output.data),
-        }
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1)
-        print(f"wrote {args.json_path}")
+        })
     return 0
 
 
@@ -548,14 +510,21 @@ def _resolve_cluster(args: argparse.Namespace,
         else cluster
 
 
+def _print_workload(schema, cluster: ClusterSpec) -> None:
+    """The workload/cluster header every searching command leads with."""
+    print(f"workload: {schema.describe()}")
+    print(f"cluster : {cluster.num_servers} servers x "
+          f"{cluster.xpus_per_server} {cluster.xpu.name}")
+
+
 def _resolve_session(args: argparse.Namespace) -> OptimizerSession:
     """One constrained session from --config / preset flags.
 
-    Shared by ``optimize`` and ``replay``: loads the workload (file or
-    preset), resolves the cluster, and merges constraints -- the
-    config file's bounds first, then an explicit ``--max-ttft`` flag
-    replaces the file's TTFT bound only. Prints the workload/cluster
-    header both commands lead with.
+    Shared by ``optimize``, ``replay`` and ``serve``: loads the
+    workload (file or preset), resolves the cluster, and merges
+    constraints -- the config file's bounds first, then an explicit
+    ``--max-ttft`` flag replaces the file's TTFT bound only. Prints the
+    workload/cluster header.
     """
     search = None
     objective: Optional[ServiceObjective] = None
@@ -568,9 +537,7 @@ def _resolve_session(args: argparse.Namespace) -> OptimizerSession:
     else:
         schema = _schema_for(args)
         cluster = _resolve_cluster(args, None)
-    print(f"workload: {schema.describe()}")
-    print(f"cluster : {cluster.num_servers} servers x "
-          f"{cluster.xpus_per_server} {cluster.xpu.name}")
+    _print_workload(schema, cluster)
     session = OptimizerSession(schema, cluster)
     if search is not None:
         session = session.with_search(search)
@@ -654,7 +621,7 @@ def _command_optimize(args: argparse.Namespace) -> int:
           f"qps/chip={chosen.qps_per_chip:.3f}  "
           f"tpot={chosen.tpot * 1e3:.2f} ms")
     if args.json_path:
-        payload = {
+        _write_json(args.json_path, {
             "workload": config_module.to_config(schema),
             "cluster": config_module.to_config(cluster),
             "num_plans": result.num_plans,
@@ -671,36 +638,85 @@ def _command_optimize(args: argparse.Namespace) -> int:
                 "qps_per_chip": chosen.qps_per_chip,
                 "schedule": config_module.to_config(chosen.schedule),
             },
-        }
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1)
-        print(f"wrote {args.json_path}")
+        })
     return 0
 
 
-def _print_autoscale_timeline(autoscaler) -> None:
-    """The scaling-event table replay and serve both print."""
-    from repro.reporting import format_scaling_timeline
-
-    print()
-    print(format_scaling_timeline(
-        autoscaler.timeline(),
-        replica_seconds=autoscaler.replica_seconds))
+def _print_schedule(chosen) -> None:
+    """The chosen-schedule lines replay and serve print."""
+    print(f"schedule: {chosen.schedule.describe()}")
+    print(f"analytical: qps={chosen.qps:.1f}  "
+          f"ttft={chosen.ttft * 1e3:.1f} ms  "
+          f"tpot={chosen.tpot * 1e3:.2f} ms")
 
 
-def _autoscale_payload(autoscaler, autoscale) -> dict:
-    """The --json autoscale section replay and serve both emit."""
-    return {
-        "spec": autoscale_spec(autoscale),
-        "config": config_module.to_config(autoscale),
-        "replica_seconds": autoscaler.replica_seconds,
-        "events": autoscaler.timeline(),
-    }
+def _build_engine(session: OptimizerSession, schedule, *, replicas: int,
+                  routing: Optional[str], autoscale, dispatch: Optional[str],
+                  admission, slo):
+    """The ``(engine, autoscaler)`` pair replay and serve drive.
+
+    An autoscale config builds an elastic fleet starting at its floor
+    with the controller over it; more than one replica, or an explicit
+    ``routing`` (never silently ignored, even at one replica), builds a
+    fixed fleet; anything else is one engine. The autoscaler is None
+    unless the fleet is elastic.
+    """
+    if autoscale is not None:
+        fleet = session.fleet_engine(schedule,
+                                     replicas=autoscale.min_replicas,
+                                     routing=routing, dispatch=dispatch,
+                                     admission=admission)
+        return fleet, Autoscaler.from_config(fleet, autoscale, slo=slo)
+    if replicas > 1 or routing is not None:
+        return session.fleet_engine(schedule, replicas=replicas,
+                                    routing=routing, dispatch=dispatch,
+                                    admission=admission), None
+    return session.serving_engine(schedule, dispatch=dispatch,
+                                  admission=admission), None
+
+
+def _print_fleet(engine, autoscaler) -> None:
+    """The per-replica and scaling tables replay and serve print after
+    the serving report (nothing for a single engine)."""
+    from repro.reporting import (format_fleet_breakdown,
+                                 format_scaling_timeline)
+
+    if isinstance(engine, FleetEngine):
+        print()
+        print(format_fleet_breakdown(engine.replica_stats()))
+    if autoscaler is not None:
+        print()
+        print(format_scaling_timeline(
+            autoscaler.timeline(),
+            replica_seconds=autoscaler.replica_seconds))
+
+
+def _policy_payload(dispatch: Optional[str], admission, engine,
+                    autoscaler, autoscale) -> dict:
+    """The --json ``policies`` / ``fleet`` / ``autoscale`` sections
+    replay and serve both emit."""
+    payload = {"policies": {"dispatch": dispatch or "deadline-flush",
+                            "admission": admission_spec(admission)}}
+    if isinstance(engine, FleetEngine):
+        payload["policies"]["routing"] = engine.routing.name
+        payload["fleet"] = {
+            "replicas": engine.replicas,
+            "routing": engine.routing.name,
+            "per_replica": engine.replica_stats(),
+        }
+    if autoscaler is not None:
+        payload["autoscale"] = {
+            "spec": autoscale_spec(autoscale),
+            "config": config_module.to_config(autoscale),
+            "replica_seconds": autoscaler.replica_seconds,
+            "events": autoscaler.timeline(),
+        }
+    return payload
 
 
 def _command_replay(args: argparse.Namespace) -> int:
     from repro.reporting import format_serving_report
-    from repro.sim import SLOTarget
+    from repro.sim import SLOTarget, replay
     from repro.workloads import RequestTrace, scenario_trace
 
     # Policy/fleet knobs must fail before the (expensive) search.
@@ -746,10 +762,7 @@ def _command_replay(args: argparse.Namespace) -> int:
         chosen = session.best()
     else:
         chosen = session.optimize().max_qps_per_chip
-    print(f"schedule: {chosen.schedule.describe()}")
-    print(f"analytical: qps={chosen.qps:.1f}  "
-          f"ttft={chosen.ttft * 1e3:.1f} ms  "
-          f"tpot={chosen.tpot * 1e3:.2f} ms")
+    _print_schedule(chosen)
 
     if population is not None:
         # Closed-loop traffic: the population self-generates against
@@ -805,8 +818,10 @@ def _command_replay(args: argparse.Namespace) -> int:
         tpot=args.slo_tpot if args.slo_tpot is not None
         else (objective.max_tpot or 2.0 * chosen.tpot),
     )
-    fleet = None
-    autoscaler = None
+    engine, autoscaler = _build_engine(
+        session, chosen.schedule, replicas=replicas, routing=args.routing,
+        autoscale=autoscale, dispatch=args.dispatch, admission=admission,
+        slo=slo)
     driver = None
     if population is not None:
         # Closed-loop replay: the population submits, thinks, and
@@ -816,62 +831,23 @@ def _command_replay(args: argparse.Namespace) -> int:
         from repro.workloads import (ClosedLoopDriver, population_spec,
                                      tiers_spec)
 
-        if replicas > 1 or args.routing is not None:
-            fleet = session.fleet_engine(chosen.schedule,
-                                         replicas=replicas,
-                                         routing=args.routing,
-                                         dispatch=args.dispatch,
-                                         admission=admission)
-            loop_engine = fleet
-        else:
-            loop_engine = session.serving_engine(chosen.schedule,
-                                                 dispatch=args.dispatch,
-                                                 admission=admission)
-        driver = ClosedLoopDriver(population, loop_engine,
-                                  horizon=args.duration)
+        driver = ClosedLoopDriver(population, engine, horizon=args.duration)
         driver.run()
-        trace = loop_engine.recorded_trace(
+        trace = engine.recorded_trace(
             scenario="sessions",
             population=population_spec(population),
             tiers=tiers_spec(population.tiers))
         print(f"observed: {trace.describe()}")
-        report = loop_engine.report(trace, slo=slo)
-    elif autoscale is not None:
-        # Elastic replay: start the fleet at the floor and let the
-        # control loop track the trace's rate curve.
-        fleet = session.fleet_engine(chosen.schedule,
-                                     replicas=autoscale.min_replicas,
-                                     routing=args.routing,
-                                     dispatch=args.dispatch,
-                                     admission=admission)
-        autoscaler = Autoscaler.from_config(fleet, autoscale, slo=slo)
+    elif autoscaler is not None:
+        # Elastic replay: the control loop tracks the trace's rate
+        # curve from the fleet's floor.
         autoscaler.run_trace(trace)
-        report = fleet.report(trace, slo=slo)
-    elif replicas > 1 or args.routing is not None:
-        # Fleet replay: route the trace across N replicas live instead
-        # of the single-engine memoized path.
-        fleet = session.fleet_engine(chosen.schedule, replicas=replicas,
-                                     routing=args.routing,
-                                     dispatch=args.dispatch,
-                                     admission=admission)
-        lens = trace.decode_lens or (None,) * trace.num_requests
-        for arrival, decode_len in zip(trace.arrivals, lens):
-            fleet.submit(arrival, decode_len=decode_len)
-        fleet.drain()
-        report = fleet.report(trace, slo=slo)
     else:
-        report = session.evaluate_trace(chosen.schedule, trace, slo=slo,
-                                        dispatch=args.dispatch,
-                                        admission=admission)
+        replay(engine, trace)
+    report = engine.report(trace, slo=slo)
     print()
     print(format_serving_report(report))
-    if fleet is not None:
-        from repro.reporting import format_fleet_breakdown
-
-        print()
-        print(format_fleet_breakdown(fleet.replica_stats()))
-    if autoscaler is not None:
-        _print_autoscale_timeline(autoscaler)
+    _print_fleet(engine, autoscaler)
     if args.json_path:
         # Workload + cluster envelopes (and the policy selections) ride
         # along so the report can be regenerated from this file alone.
@@ -881,30 +857,16 @@ def _command_replay(args: argparse.Namespace) -> int:
             "cluster": config_module.to_config(session.cluster),
             "schedule": config_module.to_config(chosen.schedule),
             "trace": config_module.to_config(trace),
-            "policies": {
-                "dispatch": args.dispatch or "deadline-flush",
-                "admission": admission_spec(admission),
-            },
         }
-        if fleet is not None:
-            payload["policies"]["routing"] = fleet.routing.name
-            payload["fleet"] = {
-                "replicas": fleet.replicas,
-                "routing": fleet.routing.name,
-                "per_replica": fleet.replica_stats(),
-            }
+        payload.update(_policy_payload(args.dispatch, admission, engine,
+                                       autoscaler, autoscale))
         if driver is not None:
             payload["population"] = {
                 "spec": population_spec(population),
                 "tiers": tiers_spec(population.tiers),
                 "per_tier": driver.tier_counts(),
             }
-        if autoscaler is not None:
-            payload["autoscale"] = _autoscale_payload(autoscaler,
-                                                     autoscale)
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1)
-        print(f"wrote {args.json_path}")
+        _write_json(args.json_path, payload)
     return 0
 
 
@@ -964,10 +926,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         # the admissible sub-frontier (constraints from --config /
         # --max-ttft still apply).
         chosen = session.with_objective("knee").best()
-    print(f"schedule: {chosen.schedule.describe()}")
-    print(f"analytical: qps={chosen.qps:.1f}  "
-          f"ttft={chosen.ttft * 1e3:.1f} ms  "
-          f"tpot={chosen.tpot * 1e3:.2f} ms")
+    _print_schedule(chosen)
 
     if serve_config.slo_ttft is None:
         serve_config = dataclasses.replace(
@@ -978,33 +937,12 @@ def _command_serve(args: argparse.Namespace) -> int:
             serve_config,
             slo_tpot=objective.max_tpot or 2.0 * chosen.tpot)
 
-    # An explicit --routing means "serve a fleet" even at one replica,
-    # mirroring replay's behavior (the flag must never be silently
-    # ignored); an autoscale envelope always means a fleet (the
-    # controller needs the add/remove primitives).
     autoscale = serve_config.autoscale
-    is_fleet = serve_config.replicas > 1 \
-        or serve_config.routing is not None \
-        or autoscale is not None
-    autoscaler = None
-    if autoscale is not None:
-        engine = session.fleet_engine(
-            chosen.schedule, replicas=autoscale.min_replicas,
-            routing=serve_config.routing, dispatch=args.dispatch,
-            admission=admission)
-        autoscaler = Autoscaler.from_config(fleet=engine,
-                                            config=autoscale,
-                                            slo=serve_config.slo)
-    elif is_fleet:
-        engine = session.fleet_engine(chosen.schedule,
-                                      replicas=serve_config.replicas,
-                                      routing=serve_config.routing,
-                                      dispatch=args.dispatch,
-                                      admission=admission)
-    else:
-        engine = session.serving_engine(chosen.schedule,
-                                        dispatch=args.dispatch,
-                                        admission=admission)
+    engine, autoscaler = _build_engine(
+        session, chosen.schedule, replicas=serve_config.replicas,
+        routing=serve_config.routing, autoscale=autoscale,
+        dispatch=args.dispatch, admission=admission,
+        slo=serve_config.slo)
     server = LiveServer(engine, serve_config, autoscaler=autoscaler)
 
     def ready(host: str, port: int) -> None:
@@ -1016,7 +954,7 @@ def _command_serve(args: argparse.Namespace) -> int:
                           f"({autoscale.policy}), "
                           f"{serve_config.routing or 'round-robin'} "
                           f"routing")
-        elif is_fleet:
+        elif isinstance(engine, FleetEngine):
             fleet_note = (f"; fleet of {serve_config.replicas} "
                           f"replica(s), "
                           f"{serve_config.routing or 'round-robin'} "
@@ -1044,13 +982,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     print(format_live_summary(server.snapshot()))
     print()
     print(format_serving_report(report))
-    if is_fleet:
-        from repro.reporting import format_fleet_breakdown
-
-        print()
-        print(format_fleet_breakdown(engine.replica_stats()))
-    if autoscaler is not None:
-        _print_autoscale_timeline(autoscaler)
+    _print_fleet(engine, autoscaler)
     if args.json_path:
         payload = {
             "report": config_module.to_config(report),
@@ -1059,24 +991,10 @@ def _command_serve(args: argparse.Namespace) -> int:
             "schedule": config_module.to_config(chosen.schedule),
             "trace": config_module.to_config(server.trace),
             "serve": config_module.to_config(serve_config),
-            "policies": {
-                "dispatch": args.dispatch or "deadline-flush",
-                "admission": admission_spec(admission),
-            },
         }
-        if is_fleet:
-            payload["policies"]["routing"] = engine.routing.name
-            payload["fleet"] = {
-                "replicas": engine.replicas,
-                "routing": engine.routing.name,
-                "per_replica": engine.replica_stats(),
-            }
-        if autoscaler is not None:
-            payload["autoscale"] = _autoscale_payload(autoscaler,
-                                                      autoscale)
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1)
-        print(f"wrote {args.json_path}")
+        payload.update(_policy_payload(args.dispatch, admission, engine,
+                                       autoscaler, autoscale))
+        _write_json(args.json_path, payload)
     return 0
 
 
@@ -1152,18 +1070,6 @@ def _command_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _choice(name: str, *allowed: str):
-    """A config-file coercer enforcing an argparse-style choice list
-    (file values bypass argparse validation)."""
-    def coerce(value):
-        if value not in allowed:
-            raise ConfigError(
-                f"bad {name} {value!r}; expected one of "
-                f"{', '.join(allowed)}")
-        return value
-    return coerce
-
-
 def _axis(separator: str):
     """A config-file coercer rendering a list axis into the flag's
     string form (None entries become the 'none' token)."""
@@ -1175,57 +1081,58 @@ def _axis(separator: str):
     return coerce
 
 
-#: Grid-file keys per command: key -> (args attribute, the flag's
-#: argparse default, coercer). A file value only lands when the flag
-#: still holds its default, so explicit flags override the file.
+#: Grid-file keys per command: key -> (args attribute, coercer). The
+#: flag's default and choice list come from its argparse action; a file
+#: value only lands when the flag still holds its default, so explicit
+#: flags override the file.
 _SWEEP_CONFIG_KEYS = {
-    "case": ("case", "i", _choice("case", "i", "ii", "iii", "iv")),
-    "llms": ("llms", "1B,8B", _axis(",")),
-    "servers": ("servers", "32", _axis(",")),
-    "context": ("context", 1_000_000, int),
-    "retrievals": ("retrievals", 4, int),
-    "xpu": ("xpu", "C", _choice("xpu", "A", "B", "C")),
-    "processes": ("processes", 1, int),
-    "backend": ("backend", None,
-                _choice("backend", "serial", "process", "sockets")),
+    "case": ("case", str),
+    "llms": ("llms", _axis(",")),
+    "servers": ("servers", _axis(",")),
+    "context": ("context", int),
+    "retrievals": ("retrievals", int),
+    "xpu": ("xpu", str),
+    "processes": ("processes", int),
+    "backend": ("backend", str),
 }
 
 _WHATIF_CONFIG_KEYS = {
-    "case": ("case", "i", _choice("case", "i", "ii", "iii", "iv")),
-    "llm": ("llm", "8B", str),
-    "context": ("context", 1_000_000, int),
-    "retrievals": ("retrievals", 4, int),
-    "servers": ("servers", None, int),
-    "xpu": ("xpu", None, _choice("xpu", "A", "B", "C")),
-    "trace": ("trace_path", None, str),
-    "scenario": ("scenario", None,
-                 _choice("scenario", *sorted(_SCENARIO_NAMES))),
-    "rate": ("rate", None, float),
-    "duration": ("duration", 20.0, float),
-    "seed": ("seed", 0, int),
-    "schedules": ("schedules", 3, int),
-    "replicas": ("replicas", "1", _axis(",")),
-    "routing": ("routing", "none", _axis(";")),
-    "autoscale": ("autoscale", "none", _axis(";")),
-    "slo_ttft": ("slo_ttft", None, float),
-    "slo_tpot": ("slo_tpot", None, float),
-    "backend": ("backend", None,
-                _choice("backend", "serial", "process", "sockets")),
-    "workers": ("workers", 1, int),
-    "cache": ("cache_dir", None, str),
+    "case": ("case", str),
+    "llm": ("llm", str),
+    "context": ("context", int),
+    "retrievals": ("retrievals", int),
+    "servers": ("servers", int),
+    "xpu": ("xpu", str),
+    "trace": ("trace_path", str),
+    "scenario": ("scenario", str),
+    "rate": ("rate", float),
+    "duration": ("duration", float),
+    "seed": ("seed", int),
+    "schedules": ("schedules", int),
+    "replicas": ("replicas", _axis(",")),
+    "routing": ("routing", _axis(";")),
+    "autoscale": ("autoscale", _axis(";")),
+    "slo_ttft": ("slo_ttft", float),
+    "slo_tpot": ("slo_tpot", float),
+    "backend": ("backend", str),
+    "workers": ("workers", int),
+    "cache": ("cache_dir", str),
 }
 
 
-def _apply_grid_config(args: argparse.Namespace, command: str,
+def _apply_grid_config(args: argparse.Namespace,
+                       parser: argparse.ArgumentParser,
                        spec: dict) -> None:
     """Fold a ``--config`` grid file (yamlish subset) into ``args``.
 
     File values fill flags still at their defaults; explicitly-passed
     flags win. Unknown keys are rejected, so a typo'd axis fails
-    instead of silently sweeping the default.
+    instead of silently sweeping the default, and a flag's argparse
+    choice list binds its file value too (file values bypass argparse).
     """
     from repro.config import yamlish
 
+    command = args.command
     data = yamlish.load(args.grid_config_path)
     if data is None:
         return
@@ -1239,16 +1146,23 @@ def _apply_grid_config(args: argparse.Namespace, command: str,
             f"{args.grid_config_path}: unknown {command} config "
             f"key(s) {', '.join(sorted(map(str, unknown)))}; known: "
             f"{', '.join(sorted(spec))}")
+    actions = {action.dest: action for action in parser._actions}
     for key, value in data.items():
-        attribute, default, coerce = spec[key]
-        if getattr(args, attribute) != default:
+        attribute, coerce = spec[key]
+        action = actions[attribute]
+        if getattr(args, attribute) != action.default:
             continue
         try:
-            setattr(args, attribute, coerce(value))
+            value = coerce(value)
         except (TypeError, ValueError) as error:
             raise ConfigError(
                 f"{args.grid_config_path}: bad value for "
                 f"{key!r}: {error}") from error
+        if action.choices is not None and value not in action.choices:
+            raise ConfigError(
+                f"bad {key} {value!r}; expected one of "
+                f"{', '.join(action.choices)}")
+        setattr(args, attribute, value)
 
 
 def _split_tokens(text: str, separator: str):
@@ -1267,10 +1181,10 @@ def _parse_whatif_axes(args: argparse.Namespace):
     routing = tuple(None if token == "none" else token
                     for token in _split_tokens(args.routing, ";"))
     for name in routing:
-        if name is not None and name not in _ROUTING_NAMES:
+        if name is not None and name not in ROUTING_POLICIES:
             raise ConfigError(
                 f"unknown routing policy {name!r}; known: "
-                f"{', '.join(sorted(_ROUTING_NAMES))} (or 'none')")
+                f"{', '.join(sorted(ROUTING_POLICIES))} (or 'none')")
     autoscale = tuple(None if token == "none" else token
                       for token in _split_tokens(args.autoscale, ";"))
     for spec in autoscale:
@@ -1281,7 +1195,8 @@ def _parse_whatif_axes(args: argparse.Namespace):
     return replicas, routing, autoscale
 
 
-def _command_whatif(args: argparse.Namespace) -> int:
+def _command_whatif(args: argparse.Namespace,
+                    parser: argparse.ArgumentParser) -> int:
     from repro.rago.whatif import WhatIfGrid
     from repro.reporting import (
         format_whatif_table,
@@ -1291,7 +1206,7 @@ def _command_whatif(args: argparse.Namespace) -> int:
     from repro.workloads import RequestTrace, scenario_trace
 
     if args.grid_config_path:
-        _apply_grid_config(args, "whatif", _WHATIF_CONFIG_KEYS)
+        _apply_grid_config(args, parser, _WHATIF_CONFIG_KEYS)
     replicas, routing, autoscale = _parse_whatif_axes(args)
     if args.schedules < 1:
         raise ConfigError("--schedules must be at least 1")
@@ -1302,9 +1217,7 @@ def _command_whatif(args: argparse.Namespace) -> int:
             "--trace replays a recording; drop --scenario")
     schema = _schema_for(args)
     cluster = _resolve_cluster(args, None)
-    print(f"workload: {schema.describe()}")
-    print(f"cluster : {cluster.num_servers} servers x "
-          f"{cluster.xpus_per_server} {cluster.xpu.name}")
+    _print_workload(schema, cluster)
     session = OptimizerSession(schema, cluster)
     optimized = session.optimize()
     best = optimized.max_qps_per_chip
@@ -1340,24 +1253,22 @@ def _command_whatif(args: argparse.Namespace) -> int:
         print()
         print(format_worker_utilization(result.workers))
     if args.json_path:
-        payload = {
+        _write_json(args.json_path, {
             "result": config_module.to_config(result),
             "workload": config_module.to_config(schema),
             "cluster": config_module.to_config(cluster),
             "trace": config_module.to_config(trace),
-        }
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1)
-        print(f"wrote {args.json_path}")
+        })
     if result.ok_cells:
         return 0
     print("error: every whatif cell was infeasible")
     return 1
 
 
-def _command_sweep(args: argparse.Namespace) -> int:
+def _command_sweep(args: argparse.Namespace,
+                   parser: argparse.ArgumentParser) -> int:
     if args.grid_config_path:
-        _apply_grid_config(args, "sweep", _SWEEP_CONFIG_KEYS)
+        _apply_grid_config(args, parser, _SWEEP_CONFIG_KEYS)
     try:
         llms = [label.strip() for label in args.llms.split(",")
                 if label.strip()]
@@ -1388,9 +1299,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
     if failed:
         print(f"{len(failed)} cell(s) infeasible")
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump({"rows": sweep.rows}, handle, indent=1)
-        print(f"wrote {args.json_path}")
+        _write_json(args.json_path, {"rows": sweep.rows})
     if failed and len(failed) == len(sweep):
         print("error: every sweep cell was infeasible")
         return 1
@@ -1465,9 +1374,7 @@ def _command_lint(args: argparse.Namespace) -> int:
         if args.audit_suppressions:
             payload["stale_suppressions"] = [finding_to_dict(finding)
                                              for finding in stale]
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1)
-        print(f"wrote {args.json_path}")
+        _write_json(args.json_path, payload)
     if new:
         return 1
     if stale and args.strict:
@@ -1532,33 +1439,9 @@ def _command_provision(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "list":
-            return _command_list()
-        if args.command == "run":
-            return _command_run(args)
-        if args.command == "sweep":
-            return _command_sweep(args)
-        if args.command == "whatif":
-            return _command_whatif(args)
-        if args.command == "replay":
-            return _command_replay(args)
-        if args.command == "serve":
-            return _command_serve(args)
-        if args.command == "trace":
-            return _command_trace(args)
-        if args.command == "lint":
-            return _command_lint(args)
-        if args.command == "bench":
-            return _command_bench(args)
-        if args.command == "provision":
-            return _command_provision(args)
-        return _command_optimize(args)
-    except ReproError as error:
-        print(f"error: {error}")
-        return 1
-    except OSError as error:
+        return args.handler(args)
+    except (ReproError, OSError) as error:
         print(f"error: {error}")
         return 1

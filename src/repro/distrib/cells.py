@@ -100,7 +100,7 @@ def whatif_runner(context: Dict[str, Any]) -> Runner:
     from repro.pipeline.stage_perf import RAGPerfModel
     from repro.sim.autoscale import Autoscaler, parse_autoscale_spec
     from repro.sim.fleet import FleetEngine
-    from repro.sim.serving import SLOTarget
+    from repro.sim.serving import SLOTarget, replay
 
     schema = config.from_config(context["schema"])
     cluster = config.from_config(context["cluster"])
@@ -123,13 +123,10 @@ def whatif_runner(context: Dict[str, Any]) -> Runner:
                 Autoscaler.from_config(fleet, controller,
                                        slo=slo).run_trace(trace)
             else:
-                fleet = FleetEngine(perf_model, schedule,
-                                    replicas=payload.get("replicas") or 1,
-                                    routing=payload.get("routing"))
-                lens = trace.decode_lens or (None,) * trace.num_requests
-                for arrival, decode_len in zip(trace.arrivals, lens):
-                    fleet.submit(arrival, decode_len=decode_len)
-                fleet.drain()
+                fleet = replay(FleetEngine(
+                    perf_model, schedule,
+                    replicas=payload.get("replicas") or 1,
+                    routing=payload.get("routing")), trace)
             report = fleet.report(trace, slo=slo)
         except ReproError as error:
             return error_outcome(error)

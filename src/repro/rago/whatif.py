@@ -46,6 +46,13 @@ __all__ = [
     "run_whatif",
 ]
 
+#: The cell replay semantics, folded into every cache key so outcomes
+#: cached under other semantics miss. ``identity``: trace records
+#: replay with their user/session/tier identity (earlier cells
+#: replayed arrivals and lengths only). Change it whenever a cell
+#: replay changes meaning.
+REPLAY_SEMANTICS = "identity"
+
 #: Metric columns every resolved cell carries, in report order.
 METRIC_NAMES = ("qps", "attainment", "attainment_ttft",
                 "attainment_tpot", "p95_ttft", "p95_tpot",
@@ -224,9 +231,10 @@ class WhatIfCache:
     """Content-keyed on-disk cache of whatif cell outcomes.
 
     One JSON file per cell under ``root``, named by the cell's content
-    key (workload + cluster + trace + SLO + policy knobs), holding the
-    raw outcome dict. Corrupt or unreadable entries are misses, never
-    errors -- a cache must only ever make a run faster.
+    key (replay semantics + workload + cluster + trace + SLO + policy
+    knobs), holding the raw outcome dict. Corrupt or unreadable entries
+    are misses, never errors -- a cache must only ever make a run
+    faster.
     """
 
     def __init__(self, root: str) -> None:
@@ -316,9 +324,11 @@ def run_whatif(schema, cluster, trace, grid: WhatIfGrid,
         "memory": memory_payload,
     }
     # The cache key folds in everything a cell's metrics depend on:
-    # the shared context (with the trace as a digest, not 100k+
-    # arrivals re-serialized per cell) plus the cell's own knobs.
+    # the replay semantics, the shared context (with the trace as a
+    # digest, not 100k+ arrivals re-serialized per cell) plus the
+    # cell's own knobs.
     context_key = _canonical({
+        "replay": REPLAY_SEMANTICS,
         "schema": schema_env, "cluster": cluster_env,
         "trace": trace_digest,
         "slo": {"ttft": slo.ttft, "tpot": slo.tpot},

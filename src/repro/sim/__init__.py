@@ -14,11 +14,13 @@ queueing and batching dynamics on top. The core is the incremental
 :class:`ServingEngine` (explicit ``submit`` / ``step`` / ``drain``
 lifecycle, running metrics, completion listeners); batching and
 admission are pluggable policies (:mod:`repro.sim.policies`).
-:class:`ServingSimulator` drives the engine open loop over a
-:class:`~repro.workloads.traces.RequestTrace` and yields a
-:class:`ServingReport` with SLO attainment, latency percentiles and
-queueing breakdowns, while :mod:`repro.serve` feeds the same engine
-from a live asyncio request stream.
+:func:`replay` is the one open-loop trace driver: it submits every
+:class:`~repro.workloads.traces.RequestTrace` record, identity
+included, into an engine or a :class:`FleetEngine` and drains it, and
+:class:`ServingSimulator` wraps it to yield a :class:`ServingReport`
+with SLO attainment, latency percentiles and queueing breakdowns,
+while :mod:`repro.serve` feeds the same engine from a live asyncio
+request stream.
 """
 
 from repro.sim.autoscale import (
@@ -72,7 +74,7 @@ from repro.sim.routing import (
     WeightedQPSRouting,
     resolve_routing_policy,
 )
-from repro.sim.serving import ServingSimulator
+from repro.sim.serving import ServingSimulator, replay, submit_request
 
 __all__ = [
     "EventQueue",
@@ -80,6 +82,8 @@ __all__ = [
     "ServingEngine",
     "FleetEngine",
     "ServingSimulator",
+    "replay",
+    "submit_request",
     "ServingMetrics",
     "ServingReport",
     "SLOTarget",

@@ -38,6 +38,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from repro.errors import ConfigError
 from repro.sim.fleet import FleetEngine
 from repro.sim.metrics import RequestRecord, SLOTarget
+from repro.sim.serving import submit_request
 
 __all__ = [
     "FleetView",
@@ -670,7 +671,8 @@ class Autoscaler:
     def run_trace(self, trace) -> FleetEngine:
         """Open-loop replay with the control loop interleaved.
 
-        Submits every request of ``trace`` in arrival order, stepping
+        Submits every request of ``trace`` in arrival order, identity
+        included (:func:`~repro.sim.serving.submit_request`), stepping
         the fleet to each control boundary on the way and deciding
         there; after the last arrival it keeps stepping boundary to
         boundary until the fleet drains (so the post-peak scale-down
@@ -680,13 +682,12 @@ class Autoscaler:
         Returns:
             The drained fleet (build reports from it as usual).
         """
-        lens = trace.decode_lens or (None,) * trace.num_requests
-        for arrival, decode_len in zip(trace.arrivals, lens):
-            while self._next_control <= arrival:
+        for request in trace.requests:
+            while self._next_control <= request.arrival:
                 boundary = self._next_control
                 self._fleet.step(until=boundary)
                 self.maybe_control(boundary)
-            self._fleet.submit(arrival, decode_len=decode_len)
+            submit_request(self._fleet, request)
         stalled = 0
         while self._fleet.in_flight and stalled < 1000:
             completed = self._fleet.completed

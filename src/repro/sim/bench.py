@@ -28,6 +28,7 @@ from repro.hardware import ClusterSpec
 from repro.pipeline import PlacementGroup, RAGPerfModel, Schedule
 from repro.schema import Stage, case_i_hyperscale
 from repro.sim.engine import ServingEngine
+from repro.sim.serving import replay
 from repro.workloads import poisson_trace
 from repro.workloads.traces import RequestTrace
 
@@ -98,18 +99,15 @@ def replay_trace(perf_model: RAGPerfModel, schedule: Schedule,
                  trace: RequestTrace,
                  engine_cls: Type[ServingEngine] = ServingEngine,
                  ) -> BenchResult:
-    """Submit the whole trace, drain, and time the replay.
+    """Time one :func:`~repro.sim.serving.replay` of the whole trace.
 
     ``engine_cls`` selects the engine under test: the shipped
     :class:`ServingEngine`, or a subclass such as the reference
     :class:`~repro.sim.oracle.OracleServingEngine`.
     """
     engine = engine_cls(perf_model, schedule)
-    submit = engine.submit
     start = time.perf_counter()  # simlint: allow[no-wallclock-in-sim]
-    for arrival, length in zip(trace.arrivals, trace.decode_lens):
-        submit(arrival, decode_len=length)
-    engine.drain()
+    replay(engine, trace)
     wall = time.perf_counter() - start  # simlint: allow[no-wallclock-in-sim]
     wall = max(wall, 1e-9)
     events = engine.events_processed

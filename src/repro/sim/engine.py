@@ -17,9 +17,9 @@ Two layers live here:
   from a closed-box trace replayer into the core of a live,
   socket-facing front-end (:mod:`repro.serve`).
 
-:class:`~repro.sim.serving.ServingSimulator` remains the open-loop
-driver over this engine: it submits a whole trace up front and drains,
-reproducing the pre-refactor replay bit for bit (pinned by tests).
+:func:`~repro.sim.serving.replay` is the open-loop driver over this
+engine: it submits a whole trace up front, identity included, and
+drains.
 
 The engine has one wiring: a slab-backed event queue (integer event
 kinds dispatched through a handler table, timestamps drained in
@@ -717,8 +717,8 @@ class ServingEngine:
     one schedule; its lifecycle is explicit so callers choose the
     driving mode:
 
-    * **open loop** (what :class:`~repro.sim.serving.ServingSimulator`
-      does): submit every request of a trace, then :meth:`drain`;
+    * **open loop** (what :func:`~repro.sim.serving.replay` does):
+      submit every request of a trace, then :meth:`drain`;
     * **incremental / live**: interleave :meth:`submit` and
       :meth:`step` as requests arrive in wall time, reading
       :meth:`snapshot` for running statistics and streaming completions

@@ -1,25 +1,30 @@
-"""Open-loop driver over the incremental serving engine.
+"""The open-loop trace driver over the serving engines.
 
-:class:`ServingSimulator` is the batch front door to the request-level
-DES: it validates a whole workload up front, submits every request to a
-fresh :class:`~repro.sim.engine.ServingEngine`, drains it, and returns
-the aggregate artifact -- :class:`~repro.sim.metrics.ServingMetrics`
-for bare arrival lists (legacy API) or a
-:class:`~repro.sim.metrics.ServingReport` for a
-:class:`~repro.workloads.traces.RequestTrace` (the artifact behind
-``repro replay``).
+:func:`replay` is the one place a :class:`~repro.workloads.traces.RequestTrace`
+is pushed into an engine: it submits every request record -- arrival,
+decode length and ``user_id`` / ``session_id`` / ``tier`` identity --
+through :func:`submit_request` into anything with the engine ``submit``
+signature (:class:`~repro.sim.engine.ServingEngine`,
+:class:`~repro.sim.fleet.FleetEngine`, the reference
+:class:`~repro.sim.oracle.OracleServingEngine`), then drains it or
+steps it to a horizon. ``repro replay``, the whatif cells, the
+autoscaler's control loop and the throughput benchmark all drive
+engines through it, so a fleet sees the same identity (tiers, session
+keys) a single engine does.
+
+:class:`ServingSimulator` is the batch front door built on the driver:
+it replays a trace (or bare arrivals, wrapped in an anonymous trace)
+through a fresh engine and returns the aggregate artifact --
+:class:`~repro.sim.metrics.ServingReport` for a trace,
+:class:`~repro.sim.metrics.ServingMetrics` for bare arrivals.
 
 The queueing network itself -- placement-group resources, batch
 stations, the continuous-batching decode executor, pluggable
-dispatch/admission policies -- lives in :mod:`repro.sim.engine`; this
-module adds only the one-shot replay discipline. Replays through the
-engine are bit-identical to the pre-refactor monolithic simulator
-(pinned by regression tests), and the same engine also powers the live
-asyncio front-end in :mod:`repro.serve`.
-
-Iterative-retrieval schemas (Case III) run through the engine's
-retrieval-hook and re-prefix stations; the closed-form counterpart is
-the cohort model in :mod:`repro.pipeline.iterative`.
+dispatch/admission policies -- lives in :mod:`repro.sim.engine`, and
+the same engine also powers the live asyncio front-end in
+:mod:`repro.serve`. Iterative-retrieval schemas (Case III) run through
+the engine's retrieval-hook and re-prefix stations; the closed-form
+counterpart is the cohort model in :mod:`repro.pipeline.iterative`.
 """
 
 from __future__ import annotations
@@ -41,9 +46,11 @@ from repro.sim.metrics import (
     _latency_summary,
 )
 from repro.sim.policies import AdmissionPolicy
-from repro.workloads.traces import RequestTrace
+from repro.workloads.traces import Request, RequestTrace
 
 __all__ = [
+    "replay",
+    "submit_request",
     "ServingSimulator",
     "RequestRecord",
     "ServingMetrics",
@@ -55,6 +62,35 @@ __all__ = [
     "_interpolated_percentile",
     "_latency_summary",
 ]
+
+
+def submit_request(engine, request: Request) -> RequestRecord:
+    """Submit one trace record, identity included, into ``engine``."""
+    return engine.submit(request.arrival, decode_len=request.decode_len,
+                         user_id=request.user_id,
+                         session_id=request.session_id, tier=request.tier)
+
+
+def replay(engine, trace: RequestTrace, horizon: Optional[float] = None):
+    """Open-loop drive: submit all of ``trace``, then run ``engine``.
+
+    Args:
+        engine: A fresh engine or fleet (anything with the engine
+            ``submit`` / ``step`` / ``drain`` lifecycle).
+        trace: The requests to inject, in arrival order.
+        horizon: Optional hard stop; the engine is stepped to it
+            instead of drained, so unfinished requests stay unfinished.
+
+    Returns:
+        ``engine``, advanced (build reports and metrics from it).
+    """
+    for request in trace.requests:
+        submit_request(engine, request)
+    if horizon is None:
+        engine.drain()
+    else:
+        engine.step(until=horizon)
+    return engine
 
 
 class ServingSimulator:
@@ -80,7 +116,6 @@ class ServingSimulator:
                  admission: Union[None, str, AdmissionPolicy] = None) -> None:
         self._perf_model = perf_model
         self._schedule = schedule
-        self._schema = perf_model.schema
         self._max_wait = max_wait
         self._seed = seed
         self._dispatch = dispatch
@@ -135,51 +170,10 @@ class ServingSimulator:
                 raise ConfigError(
                     "decode_lengths travel inside the trace; do not pass "
                     "both")
-            engine = self._replay(list(workload.arrivals), horizon,
-                                  workload.decode_lens,
-                                  requests=(workload.requests
-                                            if workload.has_identity
-                                            else None))
+            engine = replay(self._take_engine(), workload, horizon)
             return engine.report(workload, slo or SLOTarget())
         if slo is not None:
             raise ConfigError(
                 "SLO accounting needs a RequestTrace workload")
-        return self._replay(workload, horizon, decode_lengths).metrics()
-
-    def _replay(self, arrivals: Sequence[float], horizon: Optional[float],
-                decode_lengths: Optional[Sequence[int]],
-                requests: Optional[Sequence] = None) -> ServingEngine:
-        """Open-loop drive: submit the whole workload, then run.
-
-        ``requests`` carries the trace's identity-bearing records when
-        the workload has them; anonymous replays leave it None and pay
-        no per-submission identity lookups.
-        """
-        if not arrivals:
-            raise ConfigError("need at least one arrival")
-        if any(b < a for a, b in zip(arrivals, arrivals[1:])):
-            raise ConfigError("arrivals must be sorted")
-        if decode_lengths is not None:
-            if len(decode_lengths) != len(arrivals):
-                raise ConfigError(
-                    "decode_lengths must match arrivals in length")
-            if any(length <= 0 for length in decode_lengths):
-                raise ConfigError("decode lengths must be positive")
-        engine = self._take_engine()
-        if requests is not None:
-            for request in requests:
-                engine.submit(request.arrival,
-                              decode_len=request.decode_len,
-                              user_id=request.user_id,
-                              session_id=request.session_id,
-                              tier=request.tier)
-        else:
-            for index, time in enumerate(arrivals):
-                engine.submit(time,
-                              decode_len=None if decode_lengths is None
-                              else int(decode_lengths[index]))
-        if horizon is not None:
-            engine.step(until=horizon)
-        else:
-            engine.drain()
-        return engine
+        trace = RequestTrace(arrivals=workload, decode_lens=decode_lengths)
+        return replay(self._take_engine(), trace, horizon).metrics()

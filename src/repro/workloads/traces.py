@@ -5,8 +5,8 @@ an arrival timestamp, an optional decode length, and optional identity
 (``user_id`` / ``session_id`` / ``tier``) -- plus metadata recording
 how the trace was generated (scenario name, rate, seed). Traces are the
 currency of the traffic subsystem -- every scenario is a seeded
-generator returning one, :meth:`ServingSimulator.run
-<repro.sim.ServingSimulator.run>` consumes one, and
+generator returning one, :func:`repro.sim.replay` pushes one --
+identity included -- into any engine or fleet, and
 :mod:`repro.config` round-trips one, so an experiment's exact traffic
 is a reproducible artifact. The historical parallel-tuple views
 (``trace.arrivals`` / ``trace.decode_lens``) remain as cached
@@ -154,7 +154,7 @@ class RequestTrace:
         object.__setattr__(self, "metadata",
                            {} if metadata is None else metadata)
         # Cached parallel-tuple views (the pre-record API): computed
-        # once here so replay loops iterating trace.arrivals pay no
+        # once here so consumers iterating trace.arrivals pay no
         # per-access rebuild.
         object.__setattr__(self, "_arrivals",
                            tuple(record.arrival for record in records))

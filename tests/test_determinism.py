@@ -1,7 +1,7 @@
 """Determinism across interpreter hash seeds.
 
-``replay`` and ``optimize`` must not depend on string-hash order (set
-or dict iteration over hashed keys): the same command under two
+``replay``, ``optimize`` and ``whatif`` must not depend on string-hash
+order (set or dict iteration over hashed keys): the same command under two
 ``PYTHONHASHSEED`` values has to write byte-identical output, both on
 stdout and in its ``--json`` artifact. The capacity-planning example
 (the split-generation search's shipped caller) is held to the same.
@@ -40,13 +40,43 @@ def _run(args, hash_seed, workdir):
 @pytest.mark.parametrize("args", [
     ["replay", "--case", "i", "--llm", "8B", "--duration", "5"],
     ["optimize", "--case", "i", "--llm", "8B"],
-], ids=["replay", "optimize"])
+    ["whatif", "--case", "i", "--llm", "1B", "--servers", "16",
+     "--duration", "2", "--schedules", "1", "--replicas", "1,2"],
+], ids=["replay", "optimize", "whatif"])
 def test_output_is_byte_identical_across_hash_seeds(args, tmp_path):
     first = _run(args, 1, tmp_path)
     second = _run(args, 2, tmp_path)
     assert first[0] == second[0]
     assert first[1] == second[1]
     assert first[1]  # a non-empty artifact was written
+
+
+def test_fleet_replay_of_identity_trace_is_byte_identical_across_hash_seeds(
+        tmp_path):
+    """Session keys and tier names are strings: routing pins and tier
+    tables must not follow their hash order."""
+    from repro.hardware import ClusterSpec
+    from repro.rago.session import OptimizerSession
+    from repro.schema import case_i_hyperscale
+    from repro.workloads import (ClosedLoopDriver, UserPopulation,
+                                 resolve_tier_policy)
+
+    session = OptimizerSession(case_i_hyperscale("1B"),
+                               ClusterSpec(num_servers=16))
+    engine = session.serving_engine()
+    population = UserPopulation(users=16, think_time=0.2, seed=3,
+                                tiers=resolve_tier_policy("free-paid"))
+    ClosedLoopDriver(population, engine, horizon=2.0).run()
+    trace_path = tmp_path / "tiered.jsonl"
+    engine.recorded_trace(scenario="sessions").to_jsonl(str(trace_path))
+    args = ["replay", "--case", "i", "--llm", "1B", "--servers", "16",
+            "--trace", str(trace_path), "--replicas", "2",
+            "--routing", "session-affine"]
+    first = _run(args, 1, tmp_path)
+    second = _run(args, 2, tmp_path)
+    assert first[0] == second[0]
+    assert first[1] == second[1]
+    assert b"fairness:" in first[0]  # the tier tables were reported
 
 
 def test_capacity_planning_example_is_byte_identical_across_hash_seeds(

@@ -142,6 +142,46 @@ def test_session_whatif_defaults_slo_from_objective(planning):
     assert relaxed.slo_tpot is None
 
 
+def test_session_affine_cell_replays_trace_identity(planning):
+    """A whatif cell replays an identity-carrying trace exactly as a
+    directly driven fleet does: session keys reach the routing policy
+    and tiers reach the metrics."""
+    from repro.sim import replay
+    from repro.workloads import (ClosedLoopDriver, UserPopulation,
+                                 resolve_tier_policy)
+
+    session, schedules, _, _ = planning
+    engine = session.serving_engine(schedules[0])
+    population = UserPopulation(users=24, think_time=0.1, seed=11,
+                                session_len=3,
+                                tiers=resolve_tier_policy("free-paid"))
+    ClosedLoopDriver(population, engine, horizon=3.0).run()
+    trace = engine.recorded_trace(scenario="sessions")
+    fleet = replay(session.fleet_engine(schedules[0], replicas=2,
+                                        routing="session-affine"), trace)
+    # An SLO at the median TTFT splits the requests, so per-tier
+    # attainments are informative.
+    tight = SLOTarget(ttft=fleet.report(trace, SLOTarget()).ttft["p50"])
+    report = fleet.report(trace, slo=tight)
+    grid = WhatIfGrid(schedules=schedules[:1], replicas=(2,),
+                      routing=("session-affine",))
+    (cell,) = run_whatif(session.schema, session.cluster, trace, grid,
+                         tight).cells
+    assert cell.ok, cell.error
+    assert cell.metrics["qps"] == report.throughput
+    assert cell.metrics["attainment"] == report.slo_attainment["joint"]
+    assert cell.metrics["p95_ttft"] == report.ttft["p95"]
+    assert cell.metrics["replica_seconds"] == fleet.replica_seconds
+    tiers = report.tiers
+    assert sorted(tiers) == ["free", "paid"]
+    completed = sum(tier["completed"] for tier in tiers.values())
+    assert completed == report.completed
+    blended = sum(tier["slo_attainment"]["joint"] * tier["completed"]
+                  for tier in tiers.values()) / completed
+    assert cell.metrics["attainment"] == pytest.approx(blended)
+    assert 0.0 < cell.metrics["attainment"] < 1.0
+
+
 # ---------------------------------------------------------------------------
 # the content-keyed cell cache
 # ---------------------------------------------------------------------------
@@ -234,6 +274,36 @@ def test_cache_get_put_unit_contract(tmp_path):
     cache.put("key", {"result": {"qps": 1.0}, "error": None})
     assert cache.get("key") == {"result": {"qps": 1.0}, "error": None}
     assert len(cache) == 1
+
+
+def test_cache_entries_keyed_before_identity_replay_recompute(planning,
+                                                            tmp_path):
+    """Outcomes cached under the earlier key layout (no replay-semantics
+    tag; cells replayed without request identity) must miss."""
+    from repro.rago.whatif import _canonical, _digest
+
+    session, schedules, trace, slo = planning
+    grid = WhatIfGrid(schedules=schedules[:1], replicas=(1,))
+    ((schedule, replicas, routing, autoscale),) = grid.cells()
+    old_context = _canonical({
+        "schema": config.to_config(session.schema),
+        "cluster": config.to_config(session.cluster),
+        "trace": _digest(_canonical(config.to_config(trace))),
+        "slo": {"ttft": slo.ttft, "tpot": slo.tpot},
+        "memory": None,
+    })
+    old_key = _digest(old_context + "\x1e" + _canonical(
+        {"schedule": config.to_config(schedule), "replicas": replicas,
+         "routing": routing, "autoscale": autoscale}))
+    cache = WhatIfCache(str(tmp_path / "cells"))
+    cache.put(old_key, {"result": {name: -1.0 for name in METRIC_NAMES},
+                        "error": None})
+    result = run_whatif(session.schema, session.cluster, trace, grid,
+                        slo, cache=cache)
+    assert result.cache_hits == 0
+    (cell,) = result.cells
+    assert cell.metrics["qps"] > 0
+    assert len(cache) == 2
 
 
 # ---------------------------------------------------------------------------
