@@ -4,7 +4,15 @@ from repro.experiments import fig15
 
 
 def test_bench_fig15(run_experiment):
-    out = run_experiment(fig15)
+    _check(run_experiment(fig15))
+
+
+def test_bench_fig15_full(run_experiment):
+    """The same claims at the full search density (``fast=False``)."""
+    _check(run_experiment(fig15, fast=False))
+
+
+def _check(out):
     speedups = out.data["speedups"]
     # Paper: 1.7x for C-II, 1.5x for C-IV; we require clear wins in C-II
     # and at-least-parity in C-IV (the tuned baseline is strong).

@@ -4,7 +4,15 @@ from repro.experiments import fig16
 
 
 def test_bench_fig16(run_experiment):
-    out = run_experiment(fig16)
+    _check(run_experiment(fig16))
+
+
+def test_bench_fig16_full(run_experiment):
+    """The same claims at the full search density (``fast=False``)."""
+    _check(run_experiment(fig16, fast=False))
+
+
+def _check(out):
     for case in ("C-II", "C-IV"):
         stats = out.data[case]
         # The global frontier is stitched from multiple distinct

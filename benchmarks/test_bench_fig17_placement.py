@@ -4,7 +4,15 @@ from repro.experiments import fig17
 
 
 def test_bench_fig17(run_experiment):
-    out = run_experiment(fig17)
+    _check(run_experiment(fig17))
+
+
+def test_bench_fig17_full(run_experiment):
+    """The same claims at the full search density (``fast=False``)."""
+    _check(run_experiment(fig17, fast=False))
+
+
+def _check(out):
     c2 = out.data["C-II"]
     c4 = out.data["C-IV"]
     # C-II: placement barely matters (~2% in the paper).

@@ -13,6 +13,7 @@ import time
 
 from repro.hardware.cluster import ClusterSpec
 from repro.pipeline.stage_perf import RAGPerfModel
+from repro.rago import search
 from repro.rago.search import SearchConfig, search_schedules
 from repro.schema.paradigms import case_i_hyperscale, case_iv_rewriter_reranker
 
@@ -68,3 +69,28 @@ def test_warm_search_skips_every_simulator_call():
         f"warm search re-evaluated stages: {perf_model.cache_stats}"
     )
     print(f"\ncold={cold_seconds:.3f}s warm={warm_seconds:.3f}s")
+
+
+def test_search_reuses_merged_prefixes(monkeypatch):
+    """Guard: Case IV 70B/16 reuses merged plan prefixes across
+    allocations instead of re-merging every plan from its first group.
+
+    Counts ``_serial_merge`` calls, so it is deterministic: a fresh left
+    fold for each of the 9319 plans makes 40,559 merges, prefix reuse
+    19,222. The plan, candidate and frontier counts pin the search
+    itself as unchanged.
+    """
+    calls = []
+    merge = search._serial_merge
+
+    def counted(left, right):
+        calls.append(1)
+        return merge(left, right)
+
+    monkeypatch.setattr(search, "_serial_merge", counted)
+    perf_model = RAGPerfModel(case_iv_rewriter_reranker("70B"), _CLUSTER)
+    result = search_schedules(perf_model)
+    assert (result.num_plans, result.num_candidates,
+            len(result.frontier)) == (9319, 55726, 132)
+    assert len(calls) < 25_000, (
+        f"{len(calls)} serial merges: plan prefixes are not reused")

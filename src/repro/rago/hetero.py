@@ -47,6 +47,10 @@ DEFAULT_SERVER_PRICE = 5.00
 
 GENERATIONS: Tuple[XPUSpec, ...] = (XPU_A, XPU_B, XPU_C)
 
+#: A priced plan point as the search keeps it: :class:`HeteroPoint`'s
+#: fields, in order, as a plain tuple.
+_Point = Tuple[str, str, float, float, float, float, int, int, int]
+
 
 @dataclass(frozen=True)
 class HeteroPoint:
@@ -122,7 +126,8 @@ def split_generation_search(schema: RAGSchema, cluster: ClusterSpec,
                                                   replace(cluster, xpu=xpu)),
                                      config)
                  for xpu in GENERATIONS}
-    points: List[HeteroPoint] = []
+    # A HeteroPoint is built only for the points the result reports.
+    points: List[_Point] = []
     for prefill_xpu, decode_xpu in product(GENERATIONS, repeat=2):
         prefill = profilers[prefill_xpu.name]
         decode = profilers[decode_xpu.name]
@@ -137,21 +142,18 @@ def split_generation_search(schema: RAGSchema, cluster: ClusterSpec,
             dollars = (prefill_chips * prices[prefill_xpu.name]
                        + decode_chips * prices[decode_xpu.name]
                        + hosts * server_price)
-            points += [HeteroPoint(prefill_xpu=prefill_xpu.name,
-                                   decode_xpu=decode_xpu.name, ttft=ttft,
-                                   qps=qps, dollars_per_hour=dollars,
-                                   qps_per_dollar=qps / dollars,
-                                   prefill_chips=prefill_chips,
-                                   decode_chips=decode_chips, servers=hosts)
+            points += [(prefill_xpu.name, decode_xpu.name, ttft, qps,
+                        dollars, qps / dollars, prefill_chips, decode_chips,
+                        hosts)
                        for ttft, qps, _ in options]
 
     if not points:
         raise ScheduleError(f"no feasible hetero plan for {schema.name}")
-    frontier = pareto_front(points, cost=lambda p: p.ttft,
-                            value=lambda p: p.qps_per_dollar)
+    frontier = [HeteroPoint(*point)
+                for point in pareto_front(points, cost=lambda p: p[2],
+                                          value=lambda p: p[5])]
     best = max(frontier, key=lambda p: p.qps_per_dollar)
-    best_homogeneous = max((p for p in points
-                            if p.prefill_xpu == p.decode_xpu),
-                           key=lambda p: p.qps_per_dollar)
+    best_homogeneous = HeteroPoint(*max((p for p in points if p[0] == p[1]),
+                                        key=lambda p: p[5]))
     return HeteroResult(frontier=frontier,
                         best_homogeneous=best_homogeneous, best=best)

@@ -41,18 +41,14 @@ def pareto_front(items: Sequence[T], cost: Callable[[T], float],
     ordered = sorted(items, key=lambda item: (cost(item), -value(item)))
     front: List[T] = []
     best_value = float("-inf")
-    last_cost = None
     for item in ordered:
-        item_cost = cost(item)
+        # The sort puts a cost's best value first, so a same-cost
+        # follower never passes this test.
         item_value = value(item)
         if item_value <= best_value:
             continue
-        if last_cost is not None and item_cost == last_cost:
-            # Same cost, higher value than kept? impossible given sort.
-            continue
         front.append(item)
         best_value = item_value
-        last_cost = item_cost
     return front
 
 

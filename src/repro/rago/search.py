@@ -14,6 +14,18 @@ module does; the final frontier candidates are re-evaluated through
 :func:`repro.pipeline.assembly.assemble` so the reported numbers come
 from the single authoritative composition path (including iterative-
 retrieval adjustments).
+
+Three things keep the search's cost close to linear in the points it
+keeps:
+
+* a serial merge of two Pareto lists is a two-pointer walk over their
+  QPS levels, O(|L| + |R|), not a sorted cross product;
+* allocations arrive in lexicographic order, so the plan loop keeps a
+  stack of merged prefixes and recomputes only from the first group
+  whose chip count changed (and from the retrieval-spanning group when
+  the retrieval-server count changed);
+* candidates stay plain tuples; a :class:`Schedule` is built only for
+  the points that survive the frontier.
 """
 
 from __future__ import annotations
@@ -31,9 +43,11 @@ from repro.rago.placement import Placement, enumerate_placements
 from repro.rago.allocation import enumerate_allocations
 from repro.schema.stages import Stage, spans_retrieval, ttft_stages
 
-#: Partial-schedule option:
-#: (ttft seconds, qps, ((stage, batch, sharding plan or None), ...)).
-_Option = Tuple[float, float, Tuple[Tuple[Stage, int, object], ...]]
+#: A partial schedule's batching choices:
+#: ((stage, batch, sharding plan or None), ...).
+_Choices = Tuple[Tuple[Stage, int, object], ...]
+#: Partial-schedule option: (ttft seconds, qps, choices).
+_Option = Tuple[float, float, _Choices]
 
 
 @dataclass(frozen=True)
@@ -187,6 +201,8 @@ class _Profiler:
         if key in self._group_cache:
             return self._group_cache[key]
         # Accumulate (ttft_sum, inverse_qps_sum, batches) across stages.
+        # A cross product, like _harmonic_merge and for the same reason
+        # (harmonic throughput); the result is cached per key.
         partial: List[Tuple[float, float, Tuple[Tuple[Stage, int], ...]]]
         partial = [(0.0, 0.0, ())]
         for stage in stages:
@@ -216,18 +232,47 @@ class _Profiler:
 
 
 def _serial_merge(left: List[_Option], right: List[_Option]) -> List[_Option]:
-    """Compose two disaggregated segments: TTFT adds, QPS takes the min."""
-    merged = [(a_ttft + b_ttft, min(a_qps, b_qps), a_b + b_b)
-              for a_ttft, a_qps, a_b in left
-              for b_ttft, b_qps, b_b in right]
-    return _prune(merged)
+    """Compose two disaggregated segments: TTFT adds, QPS takes the min.
+
+    Both inputs must be Pareto lists as :func:`_prune` returns them:
+    TTFT and QPS both strictly rising. Then the composed frontier is a
+    two-pointer walk in O(|left| + |right|): each step emits the cheapest
+    pair that reaches the next QPS level (the smaller of the two current
+    QPS values) and advances whichever side set it, or both on a tie. The
+    walk's pair for every level is the minimal ``(i, j)``, and float
+    addition is monotone, so the result -- choice tuples included -- is
+    exactly ``_prune`` of the full cross product.
+    """
+    merged: List[_Option] = []
+    i = j = 0
+    while i < len(left) and j < len(right):
+        a_ttft, a_qps, a_b = left[i]
+        b_ttft, b_qps, b_b = right[j]
+        ttft = a_ttft + b_ttft
+        point = (ttft, a_qps if a_qps <= b_qps else b_qps, a_b + b_b)
+        if merged and merged[-1][0] == ttft:
+            # Same TTFT, higher QPS: the previous level is dominated.
+            merged[-1] = point
+        else:
+            merged.append(point)
+        if a_qps <= b_qps:
+            i += 1
+        if b_qps <= a_qps:
+            j += 1
+    return merged
 
 
 def _harmonic_merge(left: List[_Option],
                     right: List[_Option]) -> List[_Option]:
     """Compose two time-multiplexed segments: TTFT adds, QPS composes
     harmonically (the §6.1 retrieval-stall rule for collocated groups
-    that straddle the retrieval stage)."""
+    that straddle the retrieval stage).
+
+    This keeps the full cross product: a harmonic QPS depends on both
+    sides at once, not on the smaller one, so no QPS threshold splits
+    the walk the way :func:`_serial_merge` does. It runs only when the
+    plan loop rebuilds a spanning group's prefix, which keeps it cheap.
+    """
     merged = [(a_ttft + b_ttft,
                1.0 / (1.0 / a_qps + 1.0 / b_qps),
                a_b + b_b)
@@ -291,6 +336,12 @@ def _plans(config: SearchConfig, retrieval: _Profiler,
             (index for index, group in enumerate(placement)
              if len(group) > 1 and spans_retrieval(group, schema)),
             None)
+        # merged[k] composes groups 0..k (§6.1 applied) for the
+        # allocation and retrieval-server count it was built with; an
+        # empty entry ends the stack (that group is infeasible).
+        merged: List[List[_Option]] = []
+        built_for: Tuple[int, ...] = ()
+        built_servers = 0
         for allocation in allocations:
             servers = 0
             retrieval_opts: List[_Option] = []
@@ -303,23 +354,33 @@ def _plans(config: SearchConfig, retrieval: _Profiler,
                 if not retrieval_opts:
                     yield placement, allocation, servers, []
                     continue
-            options: Optional[List[_Option]] = None
-            for index, (group, chips, profiler) in enumerate(
-                    zip(placement, allocation, profilers)):
-                group_opts = profiler.group_options(group, chips)
+            # Allocations come in lexicographic order, so consecutive
+            # ones mostly share a head: keep the merged prefix up to the
+            # first group whose chips changed. From the spanning group
+            # on, the prefix also depends on the retrieval servers.
+            keep = 0
+            while keep < len(merged) and allocation[keep] == built_for[keep]:
+                keep += 1
+            if spanning_index is not None and servers != built_servers:
+                keep = min(keep, spanning_index)
+            del merged[keep:]
+            for index in range(keep, len(placement)):
+                if merged and not merged[-1]:
+                    break
+                group_opts = profilers[index].group_options(
+                    placement[index], allocation[index])
                 if group_opts and index == spanning_index:
                     # §6.1: chips idle during retrieval between the
                     # group's stages -- retrieval joins its cycle.
                     group_opts = _harmonic_merge(group_opts,
                                                  retrieval_opts)
-                if not group_opts:
-                    options = []
-                    break
-                options = group_opts if options is None \
-                    else _serial_merge(options, group_opts)
+                merged.append(group_opts if not merged or not group_opts
+                              else _serial_merge(merged[-1], group_opts))
+            built_for, built_servers = allocation, servers
+            options = merged[-1] if merged else []
             if options and schema.has_retrieval and spanning_index is None:
                 options = _serial_merge(options, retrieval_opts)
-            yield placement, allocation, servers, options or []
+            yield placement, allocation, servers, options
 
 
 def search_schedules(perf_model: RAGPerfModel,
@@ -335,7 +396,10 @@ def search_schedules(perf_model: RAGPerfModel,
     cluster = perf_model.cluster
     profiler = _Profiler(perf_model, config)
 
-    candidates: List[Tuple[float, float, Schedule]] = []
+    # (ttft, qps_per_chip, groups, servers, choices): a Schedule is
+    # built only for the points that survive the frontier.
+    candidates: List[Tuple[float, float, Tuple[PlacementGroup, ...], int,
+                           _Choices]] = []
     per_plan: List[PlanFrontier] = []
     num_plans = 0
     num_candidates = 0
@@ -347,26 +411,14 @@ def search_schedules(perf_model: RAGPerfModel,
             continue
         charged_chips = max(sum(allocation),
                             servers * cluster.xpus_per_server)
-        plan_points: List[Tuple[float, float]] = []
-        for ttft, qps, choices in options:
-            num_candidates += 1
-            batch_map = {stage: batch for stage, batch, _ in choices}
-            shard_plans = {stage: plan for stage, _, plan in choices
-                           if plan is not None}
-            schedule = Schedule(
-                groups=tuple(
-                    PlacementGroup(stages=group, num_xpus=chips)
-                    for group, chips in zip(placement, allocation)),
-                batches=batch_map,
-                retrieval_servers=servers if schema.has_retrieval
-                else None,
-                shard_plans=shard_plans,
-            )
-            qps_per_chip = qps / charged_chips
-            candidates.append((ttft, qps_per_chip, schedule))
-            plan_points.append((ttft, qps_per_chip))
+        groups = tuple(PlacementGroup(stages=group, num_xpus=chips)
+                       for group, chips in zip(placement, allocation))
+        num_candidates += len(options)
+        plan = [(ttft, qps / charged_chips, groups, servers, choices)
+                for ttft, qps, choices in options]
+        candidates += plan
         if config.collect_per_plan:
-            front = pareto_front(plan_points,
+            front = pareto_front([point[:2] for point in plan],
                                  cost=lambda p: p[0],
                                  value=lambda p: p[1])
             per_plan.append(PlanFrontier(placement=placement,
@@ -395,7 +447,14 @@ def search_schedules(perf_model: RAGPerfModel,
     if schema.is_iterative:
         iterative_options = list(batch_options(
             Stage.RETRIEVAL, config.max_batch, config.max_decode_batch))
-    for _, _, schedule in front:
+    for _, _, groups, servers, choices in front:
+        schedule = Schedule(
+            groups=groups,
+            batches={stage: batch for stage, batch, _ in choices},
+            retrieval_servers=servers if schema.has_retrieval else None,
+            shard_plans={stage: plan for stage, _, plan in choices
+                         if plan is not None},
+        )
         for iterative_batch in iterative_options:
             candidate = schedule if iterative_batch is None else Schedule(
                 groups=schedule.groups,
